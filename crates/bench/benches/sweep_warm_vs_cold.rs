@@ -1,5 +1,5 @@
 //! Warm-started incremental ∆-sweeps vs the from-scratch serial loops:
-//! the perf story of the checkpoint/resume rework, measured.
+//! the perf story of the warm-start (cap-resume) rework, measured.
 //!
 //! Groups:
 //!
@@ -7,9 +7,13 @@
 //!   1000-point RLS∆ front on a layered DAG (n = 2 500, m = 8), plus a
 //!   smaller 100-point front; `cold` runs the retained from-scratch
 //!   oracle (`rls_sweep_cold`, one full kernel run per grid point),
-//!   `warm` the checkpoint/resume chains (`rls_sweep`). Outputs are
+//!   `warm` the cap-resume chains (`rls_sweep`). Outputs are
 //!   bit-identical (tests/differential_sweep.rs), so the ratio is pure
-//!   amortization.
+//!   amortization. On that layered front the cap stops binding early and
+//!   most resumes replay nothing, so the group adds a **storage-heavy**
+//!   warm row (`warm/100pts_staged_2400x8`, the staged long/short-task
+//!   shape of `sws_workloads::dagsets::storage_heavy_staged`) on which
+//!   the `∆·LB` cap binds and resumes restore and replay mid-run.
 //! * `sbo_sweep_warm_vs_cold` — 1000-point SBO∆ front on independent
 //!   tasks (n = 2 000, m = 8): the engine computes the two inner LPT
 //!   schedules once instead of once per grid point.
@@ -19,6 +23,12 @@
 //! ```text
 //! SWS_BENCH_JSON=$(pwd)/BENCH_sweep.json cargo bench --bench sweep_warm_vs_cold
 //! ```
+//!
+//! CI runs the bench in **quick mode** (`SWS_BENCH_QUICK=1`): the `cold`
+//! oracle rows are skipped and every `warm` row keeps its full-size
+//! front and its id, so the fresh medians feed the same 20%
+//! `bench_compare` gate as the kernel and replan rows, via
+//! `--filter /warm/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -27,10 +37,19 @@ use sws_core::pareto_sweep::{rls_sweep, rls_sweep_cold, sbo_sweep, sbo_sweep_col
 use sws_core::rls::RlsConfig;
 use sws_core::sbo::InnerAlgorithm;
 use sws_dag::DagInstance;
-use sws_workloads::dagsets::{dag_workload, DagFamily};
+use sws_workloads::dagsets::{dag_workload, storage_heavy_staged, DagFamily};
 use sws_workloads::random::random_instance;
 use sws_workloads::rng::seeded_rng;
 use sws_workloads::TaskDistribution;
+
+/// Quick mode (CI): drop the slow from-scratch oracle rows, keep every
+/// warm row at full size so medians stay comparable to the committed
+/// JSON.
+fn quick() -> bool {
+    std::env::var("SWS_BENCH_QUICK")
+        .map(|v| v == "1")
+        .unwrap_or(false)
+}
 
 fn layered(n: usize, m: usize, seed: u64) -> DagInstance {
     dag_workload(
@@ -57,6 +76,18 @@ fn bench_rls_sweep(c: &mut Criterion) {
                 b.iter(|| black_box(rls_sweep(black_box(inst), &cfg, 2.1, 16.0, samples).unwrap()))
             },
         );
+    }
+    // Storage-heavy front: the cap binds over most of the grid, so the
+    // resumes restore from the placement log and replay a suffix.
+    let staged = storage_heavy_staged(2_400, 8, &mut seeded_rng(0x57A6));
+    group.bench_with_input(
+        BenchmarkId::new("warm", "100pts_staged_2400x8"),
+        &staged,
+        |b, inst| b.iter(|| black_box(rls_sweep(black_box(inst), &cfg, 2.01, 6.0, 100).unwrap())),
+    );
+    if quick() {
+        group.finish();
+        return;
     }
     // The cold oracle costs one full kernel run per grid point (~0.5 s
     // per iteration at 1 000 points); few samples suffice — the measured
@@ -99,6 +130,10 @@ fn bench_sbo_sweep(c: &mut Criterion) {
             })
         },
     );
+    if quick() {
+        group.finish();
+        return;
+    }
     group.sample_size(5);
     group.bench_with_input(
         BenchmarkId::new("cold", "1000pts_2000x8"),

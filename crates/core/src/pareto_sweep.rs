@@ -17,9 +17,10 @@
 //! * **RLS∆** — the memory cap `∆·LB` grows monotonically along the
 //!   sorted grid, so [`SweepEngine`] walks each chunk of consecutive ∆
 //!   values as a warm chain ([`crate::rls::RlsEngine`] on top of the
-//!   kernel's checkpoint/resume support): every run replays the previous
-//!   one only from the first scheduling round whose admissibility
-//!   verdict changes, and replays nothing once the cap stops binding.
+//!   kernel's cap-resume support): every run restores the previous one's
+//!   state at the first scheduling round whose admissibility verdict
+//!   changes, replays only from there, and replays nothing once the cap
+//!   stops binding.
 //! * **SBO∆** — the two inner schedules `π₁`/`π₂` do not depend on ∆ at
 //!   all, so [`crate::sbo::SboEngine`] computes them once and each grid
 //!   point costs only the `O(n)` threshold routing.
@@ -33,9 +34,9 @@
 //! Relation to the portfolio layer (`crate::portfolio`): a sweep is a
 //! *chain* of bi-objective solves sharing warm state, so it deliberately
 //! stays on the engines instead of issuing one `SolveRequest` per grid
-//! point — per-request routing would forfeit the checkpoint/resume
-//! speedups. One-shot callers should go through the portfolio; sweep
-//! callers come here.
+//! point — per-request routing would forfeit the warm-start speedups.
+//! One-shot callers should go through the portfolio; sweep callers come
+//! here.
 //!
 //! **Front merge policy:** points are merged through
 //! [`ParetoFront::offer_with`] with the tie-break "prefer the smaller ∆"
@@ -386,7 +387,7 @@ fn validate_rls_delta_min(delta_min: f64) -> Result<(), ModelError> {
 /// Sweeps RLS∆ over a geometric ∆ grid (all values must exceed 2) and
 /// returns the non-dominated achieved points, sorted by increasing
 /// makespan. Adjacent grid points are warm-started through the kernel's
-/// checkpoint/resume support; the curve is bit-identical to
+/// cap-resume support; the curve is bit-identical to
 /// [`rls_sweep_cold`]'s.
 pub fn rls_sweep(
     inst: &DagInstance,

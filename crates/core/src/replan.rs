@@ -3,9 +3,10 @@
 //!
 //! Everything below this module solves a frozen DAG: any task arrival,
 //! completion or cost re-estimate forces a from-scratch solve. The
-//! checkpoint/replay machinery of `sws_listsched::kernel` already
-//! proves (for cap deltas) that replaying only from the first affected
-//! round is bit-identical and an order of magnitude cheaper; a
+//! warm-start machinery of `sws_listsched::kernel` already proves (for
+//! cap deltas) that restoring the kernel state at the first affected
+//! round from the previous run's placement log, and replaying only from
+//! there, is bit-identical and an order of magnitude cheaper; a
 //! [`ReplanEngine`] carries that machinery across
 //! [`CsrDelta`](sws_dag::CsrDelta) streams:
 //!
@@ -46,8 +47,9 @@ use sws_model::solve::{
 /// A live incremental-replanning session over one mutating instance.
 ///
 /// Holds the instance (`Arc<CsrDag>`, mutated in place between solves),
-/// the latest [`ReplanRun`] (checkpoints + per-round records) and one
-/// reusable [`KernelWorkspace`]; [`ReplanEngine::apply`] folds one
+/// the latest [`ReplanRun`] (its placement log and per-round records,
+/// from which a replay restores the kernel state) and one reusable
+/// [`KernelWorkspace`]; [`ReplanEngine::apply`] folds one
 /// [`CsrDelta`] into all three and returns the schedule of the mutated
 /// instance.
 ///

@@ -355,8 +355,8 @@ pub fn rls_independent_in(
 }
 
 /// Warm-startable RLS∆ engine over one instance: runs a *chain* of ∆
-/// values, warm-starting each run from the previous one through the
-/// kernel's checkpoint/resume support ([`CheckpointedRun`]).
+/// values, warm-starting each run from the previous one's placement log
+/// through the kernel's cap-resume support ([`CheckpointedRun`]).
 ///
 /// The memory cap `∆·LB` grows with ∆, so along an ascending ∆ chain the
 /// admissible processor sets only grow and each run replays the previous
@@ -374,7 +374,7 @@ pub struct RlsEngine<'a> {
     order: PriorityOrder,
     rank: std::sync::Arc<PriorityRank>,
     /// Flat CSR mirror of the instance, built once per engine and shared
-    /// with every checkpointed run of the chain.
+    /// with every recorded run of the chain.
     csr: std::sync::Arc<CsrDag>,
     /// The Graham memory lower bound, computed once (it only depends on
     /// the instance).
@@ -465,7 +465,7 @@ impl<'a> RlsEngine<'a> {
     /// A **full from-scratch** RLS∆ run at `delta` that reuses the
     /// engine's CSR mirror, priority rank, cached lower bound and kernel
     /// workspace, but neither consults nor records the warm chain (no
-    /// checkpointing overhead). This is the steady-state serving path —
+    /// placement log). This is the steady-state serving path —
     /// every scheduling round executes, with zero per-run buffer
     /// allocation. Bit-identical to a one-shot [`rls`] call.
     pub fn run_detached(&mut self, delta: f64) -> Result<RlsResult, ModelError> {
@@ -489,9 +489,10 @@ impl<'a> RlsEngine<'a> {
     }
 
     /// Rounds the kernel actually executed for the most recent
-    /// [`RlsEngine::run`] (`n` for a cold run, `0` for a divergence-free
-    /// resume); `None` before the first run. Exposed for tests and sweep
-    /// telemetry.
+    /// [`RlsEngine::run`]: `n` for a cold run, `0` for a divergence-free
+    /// resume, and exactly `n − d` for a resume whose first diverging
+    /// round is `d`; `None` before the first run. Exposed for tests and
+    /// sweep telemetry.
     pub fn replayed_rounds(&self) -> Option<usize> {
         self.last.as_ref().map(CheckpointedRun::replayed_rounds)
     }
@@ -940,6 +941,31 @@ mod tests {
             warm2.schedule,
             rls(&a, &RlsConfig::new(4.0)).unwrap().schedule
         );
+    }
+
+    /// A resume restores the kernel state from the run's log into the
+    /// engine's workspace; a detached run in between leaves that
+    /// workspace holding another run's buffers, which the restore must
+    /// not read.
+    #[test]
+    fn resumes_after_detached_runs_match_cold_runs() {
+        let inst = sws_workloads::dagsets::storage_heavy_staged(120, 8, &mut seeded_rng(16));
+        let mut engine = RlsEngine::new(&inst, PriorityOrder::BottomLevel);
+        let mut partial = 0;
+        for &delta in &[2.1, 2.25, 2.5, 3.0, 4.0] {
+            let _ = engine.run_detached(64.0).unwrap();
+            let warm = engine.run(delta).unwrap();
+            let cold = rls(
+                &inst,
+                &RlsConfig::new(delta).with_order(PriorityOrder::BottomLevel),
+            )
+            .unwrap();
+            assert_eq!(warm.schedule, cold.schedule, "∆={delta}");
+            assert_eq!(warm.marked, cold.marked, "∆={delta}");
+            let replayed = engine.replayed_rounds().unwrap();
+            partial += usize::from(replayed > 0 && replayed < inst.n());
+        }
+        assert!(partial > 0, "no resume restored mid-run");
     }
 
     #[test]

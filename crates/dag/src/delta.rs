@@ -6,9 +6,9 @@
 //! A [`CsrDelta`] names one such event in terms of the flat
 //! [`CsrDag`](crate::CsrDag) mirror the scheduling kernel actually
 //! consumes, so a mutation can be applied **in place** — no graph
-//! rebuild, no re-flattening — and the kernel's checkpoint/replay
-//! machinery can resume from the first affected round instead of
-//! re-solving from scratch.
+//! rebuild, no re-flattening — and the kernel's warm-start machinery
+//! can restore its state at the first affected round and replay from
+//! there instead of re-solving from scratch.
 //!
 //! The delta layer keeps every `CsrDag` invariant intact:
 //!

@@ -33,13 +33,18 @@
 //!   winning probe are exactly the "marked" processors of the paper's
 //!   analysis, so marking costs `O(#skipped)` instead of a per-candidate
 //!   `O(m)` sweep;
-//! * **checkpoint/resume for ∆-sweeps** ([`CheckpointedRun`]): a
-//!   memory-capped run records per-round rejection thresholds and
-//!   periodic snapshots of the resumable [`EngineState`], so a later run
-//!   at a larger cap replays only from the first round whose
-//!   admissibility verdict changes (and costs nothing when none does) —
-//!   the warm-start backbone of the incremental Pareto sweeps in
-//!   `sws_core::pareto_sweep`.
+//! * **warm starts from the placement log** ([`CheckpointedRun`],
+//!   [`ReplanRun`]): a recorded run keeps, per round, the task it placed
+//!   and the smallest rejected admissibility value, plus each
+//!   processor's first marked round. The state before any round `d` is
+//!   a pure function of those records and the previous outcome, so a
+//!   later run at a larger cap (or over a mutated instance) rebuilds it
+//!   directly ([`EngineState::restore`]) and replays only from the
+//!   first round whose verdicts can change — costing nothing when none
+//!   does. This is the warm-start backbone of the incremental Pareto
+//!   sweeps in
+//!   `sws_core::pareto_sweep` and of the replanning sessions in
+//!   `sws_core::replan`.
 //!
 //! # Memory story (allocation-free steady state)
 //!
@@ -167,24 +172,6 @@ fn proc_of_key(k: u128) -> usize {
     k as u32 as usize
 }
 
-impl Clone for ProcHeap {
-    fn clone(&self) -> Self {
-        ProcHeap {
-            key: self.key.clone(),
-            pos: self.pos.clone(),
-            load: self.load.clone(),
-        }
-    }
-
-    /// Buffer-reusing clone: checkpoint restores go through this so a
-    /// resume does not re-allocate the heap arrays.
-    fn clone_from(&mut self, source: &Self) {
-        self.key.clone_from(&source.key);
-        self.pos.clone_from(&source.pos);
-        self.load.clone_from(&source.load);
-    }
-}
-
 impl ProcHeap {
     /// A heap of `m` processors, all with zero load.
     pub fn new(m: usize) -> Self {
@@ -219,6 +206,23 @@ impl ProcHeap {
         self.pos.extend(0..m as u32);
         self.load.clear();
         self.load.resize(m, 0.0);
+    }
+
+    /// Re-initializes to `m` processors whose loads `fill` writes into
+    /// the (zeroed) load array, then heapifies bottom-up in `O(m)`. The
+    /// heap shape may differ from one built by [`ProcHeap::set_load`]
+    /// calls, but nothing observable depends on it: [`ProcHeap::min`]
+    /// reads the unique minimum key and [`ProcHeap::probe_with`] visits
+    /// processors in key order.
+    fn reset_with(&mut self, m: usize, fill: impl FnOnce(&mut [f64])) {
+        self.reset(m);
+        fill(&mut self.load);
+        for (q, k) in self.key.iter_mut().enumerate() {
+            *k = proc_key(self.load[q], q as u32);
+        }
+        for at in (0..=(m - 1) / 4).rev() {
+            self.sift_down(at);
+        }
     }
 
     /// Number of processors.
@@ -415,19 +419,6 @@ struct PendingHeap {
     heap: Vec<u128>,
 }
 
-impl Clone for PendingHeap {
-    fn clone(&self) -> Self {
-        PendingHeap {
-            heap: self.heap.clone(),
-        }
-    }
-
-    /// Buffer-reusing clone for checkpoint restores.
-    fn clone_from(&mut self, source: &Self) {
-        self.heap.clone_from(&source.heap);
-    }
-}
-
 impl PendingHeap {
     fn clear(&mut self) {
         self.heap.clear();
@@ -530,23 +521,6 @@ struct RankBitmap {
     l2: Vec<u64>,
 }
 
-impl Clone for RankBitmap {
-    fn clone(&self) -> Self {
-        RankBitmap {
-            l0: self.l0.clone(),
-            l1: self.l1.clone(),
-            l2: self.l2.clone(),
-        }
-    }
-
-    /// Buffer-reusing clone for checkpoint restores.
-    fn clone_from(&mut self, source: &Self) {
-        self.l0.clone_from(&source.l0);
-        self.l1.clone_from(&source.l1);
-        self.l2.clone_from(&source.l2);
-    }
-}
-
 /// Words needed to hold `n` bits.
 #[inline]
 fn bitmap_words(n: usize) -> usize {
@@ -569,25 +543,6 @@ impl RankBitmap {
 
     fn reserve(&mut self, n: usize) {
         self.l0.reserve(bitmap_words(n));
-    }
-
-    /// Extends the slot space to `0..n` **without clearing**: appended
-    /// words are zero, so every present bit and all three summary
-    /// levels stay valid verbatim. Used when a replay adapts a restored
-    /// state to an instance that grew by an arrival.
-    fn grow(&mut self, n: usize) {
-        let w0 = bitmap_words(n);
-        let w1 = bitmap_words(w0);
-        let w2 = bitmap_words(w1);
-        if self.l0.len() < w0 {
-            self.l0.resize(w0, 0);
-        }
-        if self.l1.len() < w1 {
-            self.l1.resize(w1, 0);
-        }
-        if self.l2.len() < w2 {
-            self.l2.resize(w2, 0);
-        }
     }
 
     // sws-lint: hot-path
@@ -788,7 +743,7 @@ struct ProbeScratch {
 }
 
 /// Per-round scratch of the scheduling loop: logically dead between
-/// rounds, excluded from checkpoint snapshots, and owned by the
+/// rounds (so no restore rebuilds it), and owned by the
 /// [`KernelWorkspace`] so its allocations are reused across rounds *and*
 /// across runs.
 ///
@@ -824,7 +779,7 @@ impl StepScratch {
 
 /// Per-task readiness bookkeeping, fused so a successor update touches
 /// one cache line instead of two parallel arrays.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct PredState {
     /// Maximum completion time over scheduled predecessors, maintained
     /// incrementally as predecessors are placed.
@@ -838,10 +793,11 @@ struct PredState {
 /// marked-processor bookkeeping, and the partial schedule built so far.
 ///
 /// The scheduling loop is fully deterministic given a state and an
-/// admissibility predicate, so a cloned `EngineState` replayed with the
-/// same verdicts reproduces the original run bit for bit — the property
-/// the ∆-sweep checkpoint/resume machinery ([`CheckpointedRun`]) is
-/// built on.
+/// admissibility predicate, and the state before a round is a pure
+/// function of the placements made so far — the property warm starts
+/// are built on: [`EngineState::restore`] rebuilds it from a recorded
+/// run's [`RunLog`], and replaying with the same verdicts reproduces
+/// the recorded run bit for bit.
 ///
 /// Task and rank indices are stored as `u32` (the CSR layer guarantees
 /// `n < u32::MAX`), which halves the ready structures' memory traffic.
@@ -859,7 +815,10 @@ struct PredState {
 #[derive(Debug)]
 pub struct EngineState {
     procs: ProcHeap,
-    marked: Vec<bool>,
+    /// `mark_round[q]`: the first round that marked processor `q`
+    /// (`u32::MAX` while unmarked) — the Lemma-4 marks, kept with their
+    /// round so a restore can tell which ones a prefix made.
+    mark_round: Vec<u32>,
     /// Readiness of every task (incremental predecessor bookkeeping).
     preds: Vec<PredState>,
     proc_of: Vec<u32>,
@@ -878,39 +837,6 @@ pub struct EngineState {
     task_of_slot: Vec<u32>,
     /// Number of placements made so far.
     round: usize,
-}
-
-impl Clone for EngineState {
-    fn clone(&self) -> Self {
-        EngineState {
-            procs: self.procs.clone(),
-            marked: self.marked.clone(),
-            preds: self.preds.clone(),
-            proc_of: self.proc_of.clone(),
-            start: self.start.clone(),
-            pending: self.pending.clone(),
-            runnable: self.runnable.clone(),
-            slot_of_task: self.slot_of_task.clone(),
-            task_of_slot: self.task_of_slot.clone(),
-            round: self.round,
-        }
-    }
-
-    /// Buffer-reusing clone: restoring a checkpoint into a workspace
-    /// goes through this, so a warm resume re-fills the existing
-    /// allocations instead of replacing them.
-    fn clone_from(&mut self, source: &Self) {
-        self.procs.clone_from(&source.procs);
-        self.marked.clone_from(&source.marked);
-        self.preds.clone_from(&source.preds);
-        self.proc_of.clone_from(&source.proc_of);
-        self.start.clone_from(&source.start);
-        self.pending.clone_from(&source.pending);
-        self.runnable.clone_from(&source.runnable);
-        self.slot_of_task.clone_from(&source.slot_of_task);
-        self.task_of_slot.clone_from(&source.task_of_slot);
-        self.round = source.round;
-    }
 }
 
 /// Sets `v`'s length to `n` without zeroing a reused prefix: every
@@ -932,7 +858,7 @@ impl EngineState {
     fn empty() -> Self {
         EngineState {
             procs: ProcHeap::empty(),
-            marked: Vec::new(),
+            mark_round: Vec::new(),
             preds: Vec::new(),
             proc_of: Vec::new(),
             start: Vec::new(),
@@ -987,8 +913,8 @@ impl EngineState {
         let n = csr.n();
         assert_eq!(rank.len(), n, "priority rank must cover every task");
         self.procs.reset(m);
-        self.marked.clear();
-        self.marked.resize(m, false);
+        self.mark_round.clear();
+        self.mark_round.resize(m, u32::MAX);
         self.preds.clear();
         self.preds.extend((0..n).map(|i| PredState {
             ready: 0.0,
@@ -1010,6 +936,105 @@ impl EngineState {
             }
         }
         self.round = 0;
+    }
+
+    /// Rebuilds, in place, the exact state a run over `csr` under `rank`
+    /// reaches before round `d`, given the log of an earlier run whose
+    /// first `d` rounds it shares (same placements, starts and marks).
+    /// `csr` may hold arrivals past the logged tasks; `rank` must agree
+    /// with the logged rank on the logged tasks.
+    ///
+    /// The cost is the in-degree of the unplaced tasks plus sequential
+    /// passes — no walk over the prefix's edges:
+    ///
+    /// * slot tables: rebuilt from `rank`, as a cold run builds them;
+    /// * placement arrays: the logged outcome verbatim (entries of tasks
+    ///   placed from round `d` on are overwritten before they are read);
+    /// * loads: each processor's last placement before `d` (a backward
+    ///   walk over the log), with the heap rebuilt from them;
+    /// * marks: those whose first marked round precedes `d`;
+    /// * readiness: recomputed for the unplaced tasks only — the log's
+    ///   suffix plus arrivals — from their predecessor lists; a placed
+    ///   task's [`PredState`] is never read again;
+    /// * ready structures: the canonical split, runnable iff
+    ///   `approx_le(ready, min_load)`, else pending. A run in progress
+    ///   may still hold such a task in the pending heap, but the next
+    ///   round's migration moves it before either structure is read,
+    ///   and the pending pop order depends only on the key set.
+    ///
+    /// A capped run's committed memory is admission state, not engine
+    /// state: [`RunLog::memsize_before`] rebuilds it.
+    fn restore(&mut self, csr: &CsrDag, m: usize, rank: &PriorityRank, log: &RunLog, d: usize) {
+        let n = csr.n();
+        let n_old = log.n();
+        assert_eq!(rank.len(), n, "priority rank must cover every task");
+        assert!(d <= n_old && n_old <= n, "restore round outside the log");
+        debug_assert_eq!(rank[..n_old], log.rank[..]);
+        self.build_slots(rank, n);
+        let sched = &log.outcome.schedule;
+        self.proc_of.clear();
+        self.proc_of
+            .extend((0..n_old).map(|i| sched.proc_of(i) as u32));
+        resize_for_overwrite(&mut self.proc_of, n, 0);
+        self.start.clear();
+        self.start.extend((0..n_old).map(|i| sched.start(i)));
+        resize_for_overwrite(&mut self.start, n, 0.0);
+
+        let (prefix, proc_of, start) = (&log.rounds.placed[..d], &self.proc_of, &self.start);
+        self.procs.reset_with(m, |load| {
+            // NaN marks "no placement seen yet" (loads never are NaN).
+            load.fill(f64::NAN);
+            let mut unseen = m;
+            for &t in prefix.iter().rev() {
+                let t = t as usize;
+                let q = proc_of[t] as usize;
+                if load[q].is_nan() {
+                    load[q] = start[t] + csr.p(t);
+                    unseen -= 1;
+                    if unseen == 0 {
+                        break;
+                    }
+                }
+            }
+            load.iter_mut()
+                .filter(|l| l.is_nan())
+                .for_each(|l| *l = 0.0);
+        });
+        self.mark_round.clone_from(&log.mark_round);
+        for r in self.mark_round.iter_mut().filter(|r| **r as usize >= d) {
+            *r = u32::MAX;
+        }
+
+        resize_for_overwrite(&mut self.preds, n, PredState::default());
+        self.pending.clear();
+        self.runnable.reset(n);
+        let l_min = self.procs.min_load();
+        for v in log.rounds.placed[d..]
+            .iter()
+            .map(|&t| t as usize)
+            .chain(n_old..n)
+        {
+            let mut ready = 0.0f64;
+            let mut remaining = 0u32;
+            for &u in csr.preds(v) {
+                let u = u as usize;
+                if log.place_round.get(u).is_some_and(|&r| (r as usize) < d) {
+                    ready = ready.max(self.start[u] + csr.p(u));
+                } else {
+                    remaining += 1;
+                }
+            }
+            self.preds[v] = PredState { ready, remaining };
+            if remaining == 0 {
+                if approx_le(ready, l_min) {
+                    self.runnable.insert(self.slot_of_task[v]);
+                } else {
+                    self.pending
+                        .push(pend_key(ready, rank_task(rank[v], v as u32)));
+                }
+            }
+        }
+        self.round = d;
     }
 
     // sws-lint: hot-path
@@ -1228,7 +1253,7 @@ impl EngineState {
         for &q in &scratch.probe.skipped[winner.skipped.start as usize..winner.skipped.end as usize]
         {
             if self.procs.load(q) < chosen_load {
-                self.marked[q] = true;
+                self.mark_round[q] = self.mark_round[q].min(self.round as u32);
             }
         }
 
@@ -1313,7 +1338,7 @@ impl EngineState {
         let schedule = TimedSchedule::new_unchecked(proc_of, self.start.clone(), m);
         Ok(KernelOutcome {
             schedule,
-            marked: self.marked.clone(),
+            marked: self.mark_round.iter().map(|&r| r != u32::MAX).collect(),
         })
     }
 }
@@ -1327,8 +1352,10 @@ impl EngineState {
 ///
 /// Reuse is **stateless across runs by construction**: every buffer is
 /// fully re-initialized from the instance at the start of a run
-/// ([`EngineState::init`]), which the differential suite and a
-/// dedicated interleaving proptest verify bit-for-bit.
+/// ([`EngineState::init`]) or rebuilt from a run's log at the start of
+/// a warm resume ([`EngineState::restore`]), which the differential
+/// suite, a dedicated interleaving proptest and the stale-workspace
+/// tests verify bit-for-bit.
 #[derive(Debug)]
 pub struct KernelWorkspace {
     state: EngineState,
@@ -1377,7 +1404,7 @@ impl KernelWorkspace {
     /// of growing mid-run.
     pub fn with_capacity(n: usize, m: usize) -> Self {
         let mut ws = Self::new();
-        ws.state.marked.reserve(m);
+        ws.state.mark_round.reserve(m);
         ws.state.preds.reserve(n);
         ws.state.proc_of.reserve(n);
         ws.state.start.reserve(n);
@@ -1440,6 +1467,20 @@ pub fn event_driven_schedule_csr<A: Admission>(
 /// stays far below the cost of a single scheduling round.
 pub const PROBE_STRIDE: usize = 64;
 
+/// An admission predicate that also reports, per round, the smallest
+/// value it rejected — the record a cap resume finds its first
+/// diverging round in.
+trait RecordingAdmission: Admission {
+    /// Whether the log keeps each round's minimum load and winner key —
+    /// the frontier a replan's first-beaten-round scan reads. Cap
+    /// resumes never read it, so their runs skip recording it.
+    const FRONTIER: bool;
+
+    /// The smallest value rejected since the last call (∞ when none),
+    /// resetting the recorder for the next round.
+    fn take_round_min(&self) -> f64;
+}
+
 /// [`MemoryCapAdmission`] wrapper that additionally records, per round,
 /// the smallest inadmissible `memsize[q] + s` value probed. Interior
 /// mutability because [`Admission::admits`] takes `&self` (heap probes
@@ -1457,9 +1498,11 @@ impl RecordingCapAdmission {
             round_reject_min: Cell::new(f64::INFINITY),
         }
     }
+}
 
-    /// The smallest value rejected since the last call (∞ when none),
-    /// resetting the recorder for the next round.
+impl RecordingAdmission for RecordingCapAdmission {
+    const FRONTIER: bool = false;
+
     fn take_round_min(&self) -> f64 {
         self.round_reject_min.replace(f64::INFINITY)
     }
@@ -1492,26 +1535,119 @@ impl Admission for RecordingCapAdmission {
     }
 }
 
-/// Interval between state snapshots of a [`CheckpointedRun`]: bounded
-/// below so tiny instances don't snapshot every round, and proportional
-/// to `n` so a run never stores more than ~33 snapshots (`O(n)` memory
-/// per snapshot).
-fn checkpoint_stride(n: usize) -> usize {
-    (n / 32).max(32)
+/// Per-round records of a recorded run, indexed by round.
+#[derive(Debug, Default)]
+struct Rounds {
+    /// The task each round placed.
+    placed: Vec<u32>,
+    /// Start key of each round's winner (empty unless the run recorded
+    /// the frontier, see [`RecordingAdmission::FRONTIER`]).
+    winner_key: Vec<f64>,
+    /// Minimum processor load when each round began (empty unless the
+    /// run recorded the frontier).
+    min_load: Vec<f64>,
+    /// Smallest inadmissible `memsize[q] + s` each round probed (∞ when
+    /// it rejected nothing; always ∞ uncapped).
+    reject_min: Vec<f64>,
 }
 
-/// One snapshot of a checkpointed run: the engine state plus the
-/// per-processor memory committed so far, taken *before* round `round`.
+impl Rounds {
+    /// The records of the first `d` rounds.
+    fn prefix(&self, d: usize) -> Rounds {
+        let head = |v: &[f64]| v[..d.min(v.len())].to_vec();
+        Rounds {
+            placed: self.placed[..d].to_vec(),
+            winner_key: head(&self.winner_key),
+            min_load: head(&self.min_load),
+            reject_min: self.reject_min[..d].to_vec(),
+        }
+    }
+}
+
+/// The placement log of a completed recorded run: everything
+/// [`EngineState::restore`] needs to rebuild the state before any of
+/// its rounds, all `O(n)` — nothing here is a copy of the engine state.
 #[derive(Debug)]
-struct Checkpoint {
-    round: usize,
-    state: EngineState,
-    memsize: Vec<f64>,
+struct RunLog {
+    /// The priority rank the run was recorded under.
+    rank: Arc<PriorityRank>,
+    rounds: Rounds,
+    /// `place_round[i]`: the round that placed task `i` (inverse of
+    /// `rounds.placed`).
+    place_round: Vec<u32>,
+    /// `mark_round[q]`: the first round that marked processor `q`
+    /// (`u32::MAX` when none did).
+    mark_round: Vec<u32>,
+    /// The produced schedule and Lemma-4 bookkeeping.
+    outcome: KernelOutcome,
+}
+
+impl RunLog {
+    /// Runs the workspace's state to completion under `admission`,
+    /// extending `rounds` (which must cover the rounds before
+    /// `state.round`), and seals the log. Also returns the number of
+    /// rounds executed.
+    fn record<A: RecordingAdmission>(
+        csr: &CsrDag,
+        m: usize,
+        rank: Arc<PriorityRank>,
+        admission: &mut A,
+        mut rounds: Rounds,
+        ws: &mut KernelWorkspace,
+    ) -> Result<(RunLog, usize), ModelError> {
+        let n = csr.n();
+        let first = ws.state.round;
+        debug_assert_eq!(rounds.placed.len(), first);
+        ws.scratch.clear();
+        while ws.state.round < n {
+            if ws.state.round.is_multiple_of(PROBE_STRIDE) {
+                ws.probe.poll()?;
+            }
+            if A::FRONTIER {
+                rounds.min_load.push(ws.state.procs.min_load());
+            }
+            let (task, key) = ws.state.step(csr, &rank, admission, &mut ws.scratch)?;
+            rounds.placed.push(task);
+            if A::FRONTIER {
+                rounds.winner_key.push(key);
+            }
+            rounds.reject_min.push(admission.take_round_min());
+        }
+        let mut place_round = vec![0u32; n];
+        for (r, &t) in rounds.placed.iter().enumerate() {
+            place_round[t as usize] = r as u32;
+        }
+        let log = RunLog {
+            rank,
+            rounds,
+            place_round,
+            mark_round: ws.state.mark_round.clone(),
+            outcome: ws.state.finish(m)?,
+        };
+        Ok((log, n - first))
+    }
+
+    /// Number of tasks the run placed.
+    fn n(&self) -> usize {
+        self.rounds.placed.len()
+    }
+
+    /// Per-processor memory committed by the first `d` rounds, summed in
+    /// round order — the order the run's own commits added in, so the
+    /// float sums are bit-identical.
+    fn memsize_before(&self, csr: &CsrDag, m: usize, d: usize) -> Vec<f64> {
+        let mut memsize = vec![0.0; m];
+        for &t in &self.rounds.placed[..d] {
+            let t = t as usize;
+            memsize[self.outcome.schedule.proc_of(t)] += csr.s(t);
+        }
+        memsize
+    }
 }
 
 /// A completed memory-capped kernel run that can be **warm-resumed at a
-/// larger cap**: the checkpoint/resume backbone of the incremental
-/// ∆-sweeps (`sws_core::pareto_sweep`).
+/// larger cap**: the warm-start backbone of the incremental ∆-sweeps
+/// (`sws_core::pareto_sweep`).
 ///
 /// During the run, every admissibility rejection records the value
 /// `memsize[q] + s` that was refused; `reject_min[r]` keeps the smallest
@@ -1521,43 +1657,35 @@ struct Checkpoint {
 /// smallest rejected value becomes admissible under `cap'` — accepted
 /// probes stay accepted (the cap only grew) and rejected probes stay
 /// rejected (their values all exceed the round's recorded minimum). The
-/// resume therefore restores the latest snapshot at or before that first
-/// diverging round and re-runs only from there; when no round diverges
-/// the previous outcome is returned as-is, and when the divergence
-/// prefix is shorter than the snapshot stride the restore degenerates to
-/// the initial state — a full recompute.
+/// resume therefore rebuilds the state before exactly that round from
+/// the run's placement log ([`EngineState::restore`]) and re-runs only
+/// from there; when no round diverges the previous outcome is returned
+/// as-is.
 ///
-/// Snapshots, the rejection thresholds, the priority rank and the CSR
-/// instance mirror are shared (`Arc`) between the runs of a chain, so
-/// the no-divergence fast path costs `O(n)` (cloning the outcome), not
-/// `O(n²/stride)`, and the instance is flattened exactly once per chain.
+/// The log (per-round records, marks, outcome), the priority rank and
+/// the CSR instance mirror are shared (`Arc`) between the runs of a
+/// chain, so the no-divergence fast path costs `O(1)` and the instance
+/// is flattened exactly once per chain.
 ///
 /// The run is **bound to its instance and priority rank at
 /// construction** — a resume always replays against exactly the inputs
-/// the checkpoints were recorded under, so there is no way to mix the
-/// snapshots of one instance with the tasks of another.
+/// the log was recorded under, so there is no way to mix the records of
+/// one instance with the tasks of another.
 #[derive(Debug, Clone)]
 pub struct CheckpointedRun<'a> {
     inst: &'a DagInstance,
     csr: Arc<CsrDag>,
-    rank: Arc<PriorityRank>,
     cap: f64,
-    /// `reject_min[r]`: smallest inadmissible `memsize[q] + s` probed in
-    /// round `r` (∞ when round `r` rejected nothing).
-    reject_min: Arc<Vec<f64>>,
-    /// Snapshots at rounds `0, stride, 2·stride, …` (ascending).
-    checkpoints: Vec<Arc<Checkpoint>>,
-    outcome: KernelOutcome,
+    log: Arc<RunLog>,
     /// Rounds actually executed to produce this run (`n` for a cold run,
     /// `0` when a resume reused the previous outcome wholesale).
     replayed: usize,
 }
 
 impl<'a> CheckpointedRun<'a> {
-    /// A from-scratch run with memory cap `cap`, recording rejection
-    /// thresholds and periodic snapshots for later warm resumes.
-    /// One-shot wrapper over [`CheckpointedRun::cold_in`] (fresh CSR
-    /// mirror and workspace).
+    /// A from-scratch run with memory cap `cap`, recording the placement
+    /// log for later warm resumes. One-shot wrapper over
+    /// [`CheckpointedRun::cold_in`] (fresh CSR mirror and workspace).
     pub fn cold(
         inst: &'a DagInstance,
         rank: Arc<PriorityRank>,
@@ -1579,54 +1707,15 @@ impl<'a> CheckpointedRun<'a> {
     ) -> Result<Self, ModelError> {
         assert_eq!(csr.n(), inst.n(), "CSR mirror must match the instance");
         ws.state.init(&csr, inst.m(), &rank);
-        let admission = RecordingCapAdmission::new(vec![0.0; inst.m()], cap);
-        Self::drive(inst, csr, rank, cap, admission, Vec::new(), Vec::new(), ws)
-    }
-
-    /// Runs the workspace's state to completion, snapshotting every
-    /// [`checkpoint_stride`] rounds and extending `reject_min` (which
-    /// must already cover the rounds before `state.round`).
-    #[allow(clippy::too_many_arguments)]
-    fn drive(
-        inst: &'a DagInstance,
-        csr: Arc<CsrDag>,
-        rank: Arc<PriorityRank>,
-        cap: f64,
-        mut admission: RecordingCapAdmission,
-        mut reject_min: Vec<f64>,
-        mut checkpoints: Vec<Arc<Checkpoint>>,
-        ws: &mut KernelWorkspace,
-    ) -> Result<Self, ModelError> {
-        let n = csr.n();
-        let stride = checkpoint_stride(n);
-        let first = ws.state.round;
-        debug_assert_eq!(reject_min.len(), first);
-        ws.scratch.clear();
-        while ws.state.round < n {
-            if ws.state.round.is_multiple_of(PROBE_STRIDE) {
-                ws.probe.poll()?;
-            }
-            if ws.state.round.is_multiple_of(stride) {
-                checkpoints.push(Arc::new(Checkpoint {
-                    round: ws.state.round,
-                    state: ws.state.clone(),
-                    memsize: admission.inner.memsize.clone(),
-                }));
-            }
-            ws.state
-                .step(&csr, &rank, &mut admission, &mut ws.scratch)?;
-            reject_min.push(admission.take_round_min());
-        }
-        let outcome = ws.state.finish(inst.m())?;
+        let mut admission = RecordingCapAdmission::new(vec![0.0; inst.m()], cap);
+        let (log, replayed) =
+            RunLog::record(&csr, inst.m(), rank, &mut admission, Rounds::default(), ws)?;
         Ok(CheckpointedRun {
             inst,
             csr,
-            rank,
             cap,
-            reject_min: Arc::new(reject_min),
-            checkpoints,
-            outcome,
-            replayed: n - first,
+            log: Arc::new(log),
+            replayed,
         })
     }
 
@@ -1645,62 +1734,45 @@ impl<'a> CheckpointedRun<'a> {
     /// back to a cold run. The produced schedule is bit-identical to a
     /// cold run at `new_cap`.
     pub fn resume_in(&self, new_cap: f64, ws: &mut KernelWorkspace) -> Result<Self, ModelError> {
+        let (m, rank) = (self.inst.m(), &self.log.rank);
         if new_cap < self.cap {
             return Self::cold_in(
                 self.inst,
                 Arc::clone(&self.csr),
-                Arc::clone(&self.rank),
+                Arc::clone(rank),
                 new_cap,
                 ws,
             );
         }
-        let n = self.csr.n();
         // First round in which a previously rejected probe would now be
         // admitted; every earlier round replays verbatim.
-        let divergence = self
+        let Some(divergence) = self
+            .log
+            .rounds
             .reject_min
             .iter()
             // The ∞ sentinel means "no rejection that round"; it must not
             // hit the tolerant comparison (whose slack is infinite there).
             .position(|&v| v.is_finite() && approx_le(v, new_cap))
-            .unwrap_or(n);
-        if divergence >= n {
+        else {
             return Ok(CheckpointedRun {
-                inst: self.inst,
-                csr: Arc::clone(&self.csr),
-                rank: Arc::clone(&self.rank),
                 cap: new_cap,
-                reject_min: Arc::clone(&self.reject_min),
-                checkpoints: self.checkpoints.clone(),
-                outcome: self.outcome.clone(),
                 replayed: 0,
+                ..self.clone()
             });
-        }
-        let ci = self
-            .checkpoints
-            .iter()
-            .rposition(|c| c.round <= divergence)
-            .expect("a non-empty run always snapshots round 0");
-        let ck = &self.checkpoints[ci];
-        // Restore into the workspace's buffers (clone_from reuses their
-        // allocations) instead of cloning a fresh state.
-        ws.state.clone_from(&ck.state);
-        let admission = RecordingCapAdmission::new(ck.memsize.clone(), new_cap);
-        // The replay re-records the snapshot at the restored round, so
-        // keep only the strictly earlier ones (still valid: the prefix of
-        // the new run is identical).
-        let reject_min = self.reject_min[..ck.round].to_vec();
-        let checkpoints = self.checkpoints[..ci].to_vec();
-        Self::drive(
-            self.inst,
-            Arc::clone(&self.csr),
-            Arc::clone(&self.rank),
-            new_cap,
-            admission,
-            reject_min,
-            checkpoints,
-            ws,
-        )
+        };
+        ws.state.restore(&self.csr, m, rank, &self.log, divergence);
+        let memsize = self.log.memsize_before(&self.csr, m, divergence);
+        let mut admission = RecordingCapAdmission::new(memsize, new_cap);
+        let rounds = self.log.rounds.prefix(divergence);
+        let (log, replayed) =
+            RunLog::record(&self.csr, m, Arc::clone(rank), &mut admission, rounds, ws)?;
+        Ok(CheckpointedRun {
+            cap: new_cap,
+            log: Arc::new(log),
+            replayed,
+            ..self.clone()
+        })
     }
 
     /// The shared CSR mirror of the bound instance.
@@ -1718,12 +1790,13 @@ impl<'a> CheckpointedRun<'a> {
     /// The produced schedule and Lemma-4 bookkeeping.
     #[inline]
     pub fn outcome(&self) -> &KernelOutcome {
-        &self.outcome
+        &self.log.outcome
     }
 
     /// Rounds actually executed to produce this run: `n` for a cold run,
-    /// `0` when a resume found no diverging round, and the length of the
-    /// replayed suffix otherwise. Exposed for tests and sweep telemetry.
+    /// `0` when a resume found no diverging round, and exactly
+    /// `n − divergence` otherwise (the resume restarts at the first
+    /// diverging round itself). Exposed for tests and sweep telemetry.
     #[inline]
     pub fn replayed_rounds(&self) -> usize {
         self.replayed
@@ -1743,38 +1816,24 @@ enum ReplanAdmission {
 }
 
 impl ReplanAdmission {
-    /// Fresh admission state for a session with the given fixed cap.
-    fn fresh(cap: Option<f64>, m: usize) -> Self {
+    /// Admission state for a session with the given fixed cap, starting
+    /// from the committed memory `memsize` (ignored for open sessions).
+    fn new(cap: Option<f64>, memsize: impl FnOnce() -> Vec<f64>) -> Self {
         match cap {
             None => ReplanAdmission::Open(Unrestricted),
-            Some(c) => ReplanAdmission::Capped(RecordingCapAdmission::new(vec![0.0; m], c)),
+            Some(c) => ReplanAdmission::Capped(RecordingCapAdmission::new(memsize(), c)),
         }
     }
+}
 
-    /// Admission state restored from a checkpoint's committed-memory
-    /// snapshot (empty for open sessions).
-    fn restored(cap: Option<f64>, memsize: Vec<f64>) -> Self {
-        match cap {
-            None => ReplanAdmission::Open(Unrestricted),
-            Some(c) => ReplanAdmission::Capped(RecordingCapAdmission::new(memsize, c)),
-        }
-    }
+impl RecordingAdmission for ReplanAdmission {
+    const FRONTIER: bool = true;
 
-    /// See [`RecordingCapAdmission::take_round_min`]; open sessions
-    /// reject nothing, so every round records ∞.
+    /// Open sessions reject nothing, so every round records ∞.
     fn take_round_min(&self) -> f64 {
         match self {
             ReplanAdmission::Open(_) => f64::INFINITY,
             ReplanAdmission::Capped(a) => a.take_round_min(),
-        }
-    }
-
-    /// The committed-memory vector to store in a checkpoint (empty for
-    /// open sessions, which have no admission state to restore).
-    fn memsize_snapshot(&self) -> Vec<f64> {
-        match self {
-            ReplanAdmission::Open(_) => Vec::new(),
-            ReplanAdmission::Capped(a) => a.inner.memsize.clone(),
         }
     }
 }
@@ -1847,12 +1906,11 @@ pub enum ReplanDelta {
 /// instance, new cap" to arrivals and cost re-estimates against a
 /// mutated [`CsrDag`].
 ///
-/// Beyond the cap-resume machinery (periodic [`EngineState`] snapshots,
-/// per-round rejection thresholds), a replan run records the per-round
-/// **placement frontier**: which task each round placed, at what start
-/// key, and what the minimum processor load was when the round began.
-/// From those records the first round a delta can affect is computable
-/// without re-running anything:
+/// It keeps the same placement log as [`CheckpointedRun`], whose
+/// per-round records include the **placement frontier**: which task
+/// each round placed, at what start key, and what the minimum processor
+/// load was when the round began. From those records the first round a
+/// delta can affect is computable without re-running anything:
 ///
 /// * A task's costs are invisible to the kernel before its *ready
 ///   round* `r₀` (the round after its last predecessor placed): a task
@@ -1875,11 +1933,12 @@ pub enum ReplanDelta {
 ///   rounds whose recorded rejection threshold is ∞ (nothing rejected)
 ///   are untouched and the replay starts at the first finite one.
 ///
-/// Degeneration is graceful by construction: when the first affected
-/// round is early (a source arrival, a recost of a root task), the
-/// restore lands on the round-0 snapshot and the "replay" is a full
-/// re-run — never worse than from-scratch by more than the snapshot
-/// overhead.
+/// The replay then restores the state before exactly that first
+/// affected round ([`EngineState::restore`], run over the mutated CSR,
+/// so an arrival simply counts as one more unplaced task) and runs
+/// `n − first` rounds. When the first affected round is early (a
+/// source arrival, a recost of a root task) that is a full re-run, at
+/// the cost of a cold run plus the sequential restore passes.
 ///
 /// The run is bound to the priority rank it was recorded under; a
 /// replan whose rank disagrees (or re-ranks the arrival anywhere but
@@ -1894,24 +1953,20 @@ pub struct ReplanRun {
     /// paper's memory cap. Sessions never change it — machines don't
     /// grow RAM mid-run; cap *sweeps* are [`CheckpointedRun`]'s job.
     cap: Option<f64>,
-    rank: Arc<PriorityRank>,
-    /// `placed[r]`: the task round `r` placed.
-    placed: Vec<u32>,
-    /// `place_round[i]`: the round that placed task `i` (inverse of
-    /// `placed`).
-    place_round: Vec<u32>,
-    /// `winner_key[r]`: start key of round `r`'s winner.
-    winner_key: Vec<f64>,
-    /// `min_load[r]`: minimum processor load when round `r` began.
-    min_load: Vec<f64>,
-    /// `reject_min[r]`: smallest inadmissible `memsize[q] + s` probed in
-    /// round `r` (∞ when nothing was rejected; always ∞ when open).
-    reject_min: Vec<f64>,
-    /// Snapshots at stride boundaries (ascending rounds).
-    checkpoints: Vec<Arc<Checkpoint>>,
-    outcome: KernelOutcome,
+    log: Arc<RunLog>,
     /// Rounds actually executed to produce this run.
     replayed: usize,
+}
+
+/// Where a replan restarts, as decided from the records alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ReplanStart {
+    /// The rank no longer matches the records: run cold.
+    Cold,
+    /// The schedule provably cannot change.
+    Reuse,
+    /// Restore before this round and replay from it.
+    From(usize),
 }
 
 impl ReplanRun {
@@ -1925,8 +1980,14 @@ impl ReplanRun {
         ws: &mut KernelWorkspace,
     ) -> Result<Self, ModelError> {
         ws.state.init(csr, m, &rank);
-        let admission = ReplanAdmission::fresh(cap, m);
-        Self::drive(csr, m, rank, cap, admission, Records::default(), ws)
+        let mut admission = ReplanAdmission::new(cap, || vec![0.0; m]);
+        let (log, replayed) = RunLog::record(csr, m, rank, &mut admission, Rounds::default(), ws)?;
+        Ok(ReplanRun {
+            m,
+            cap,
+            log: Arc::new(log),
+            replayed,
+        })
     }
 
     /// Warm-starts against the **already mutated** `csr`, replaying
@@ -1941,25 +2002,39 @@ impl ReplanRun {
         delta: ReplanDelta,
         ws: &mut KernelWorkspace,
     ) -> Result<Self, ModelError> {
+        match self.first_affected(csr, &rank, delta) {
+            ReplanStart::Cold => Self::cold(csr, self.m, rank, self.cap, ws),
+            ReplanStart::Reuse => Ok(self.reuse()),
+            ReplanStart::From(first) => self.resume_from(csr, rank, first, ws),
+        }
+    }
+
+    /// The first round `delta` can affect (see the type docs), given
+    /// the already mutated `csr` and its rank.
+    fn first_affected(
+        &self,
+        csr: &CsrDag,
+        rank: &Arc<PriorityRank>,
+        delta: ReplanDelta,
+    ) -> ReplanStart {
         let n = csr.n();
-        let n_old = self.placed.len();
+        let n_old = self.log.n();
         match delta {
             ReplanDelta::Arrival => {
                 assert_eq!(n, n_old + 1, "arrival replan against an un-mutated CSR");
-                let j = n - 1;
-                if !self.rank_extends(&rank, n) || self.checkpoints.is_empty() {
-                    return Self::cold(csr, self.m, rank, self.cap, ws);
+                if !self.rank_extends(rank, n) {
+                    return ReplanStart::Cold;
                 }
-                let (rho, r0) = self.ready_info(csr, j);
-                let first = if self.cap.is_some() {
-                    // A capped probe of `j` can reject (even terminally)
-                    // in any round that scans it; the records cannot
-                    // rule that out, so replay its whole ready span.
-                    r0
+                let (rho, r0) = self.ready_info(csr, n - 1);
+                if self.cap.is_some() {
+                    // A capped probe of the arrival can reject (even
+                    // terminally) in any round that scans it; the
+                    // records cannot rule that out, so replay its whole
+                    // ready span.
+                    ReplanStart::From(r0)
                 } else {
-                    self.first_beaten_round(r0, n_old, rho).unwrap_or(n_old)
-                };
-                self.resume_from(csr, rank, first, ws)
+                    ReplanStart::From(self.first_beaten_round(r0, n_old, rho).unwrap_or(n_old))
+                }
             }
             ReplanDelta::Recost {
                 task,
@@ -1967,11 +2042,11 @@ impl ReplanRun {
                 s_shift,
             } => {
                 assert_eq!(n, n_old, "recost replan changed the task count");
-                if !self.rank_matches(&rank) || self.checkpoints.is_empty() {
-                    return Self::cold(csr, self.m, rank, self.cap, ws);
+                if !self.rank_matches(rank) {
+                    return ReplanStart::Cold;
                 }
                 let i = task as usize;
-                let pr = self.place_round[i] as usize;
+                let pr = self.log.place_round[i] as usize;
                 let mut first = if p_changed { pr } else { usize::MAX };
                 if self.cap.is_some() {
                     match s_shift {
@@ -1982,7 +2057,7 @@ impl ReplanRun {
                         CostShift::Lowered => {
                             let (_, r0) = self.ready_info(csr, i);
                             let t = (r0..pr)
-                                .find(|&t| self.reject_min[t].is_finite())
+                                .find(|&t| self.log.rounds.reject_min[t].is_finite())
                                 .unwrap_or(pr);
                             first = first.min(t);
                         }
@@ -1995,9 +2070,10 @@ impl ReplanRun {
                 if first >= n {
                     // The schedule cannot change (an uncapped storage
                     // re-estimate, or no change at all): reuse it.
-                    return Ok(self.reuse());
+                    ReplanStart::Reuse
+                } else {
+                    ReplanStart::From(first)
                 }
-                self.resume_from(csr, rank, first, ws)
             }
         }
     }
@@ -2007,9 +2083,10 @@ impl ReplanRun {
     /// engine in `sws-core` when answering completion events from the
     /// cached run).
     pub fn reuse(&self) -> Self {
-        let mut run = self.clone();
-        run.replayed = 0;
-        run
+        ReplanRun {
+            replayed: 0,
+            ..self.clone()
+        }
     }
 
     /// Ready time `ρ` (max predecessor completion) and ready round `r₀`
@@ -2020,8 +2097,8 @@ impl ReplanRun {
         let mut r0 = 0usize;
         for &u in csr.preds(task) {
             let u = u as usize;
-            rho = rho.max(self.outcome.schedule.start(u) + csr.p(u));
-            r0 = r0.max(self.place_round[u] as usize + 1);
+            rho = rho.max(self.log.outcome.schedule.start(u) + csr.p(u));
+            r0 = r0.max(self.log.place_round[u] as usize + 1);
         }
         (rho, r0)
     }
@@ -2032,25 +2109,25 @@ impl ReplanRun {
     /// `max(rho, min_load[t])`, and with the worst rank only a strictly
     /// earlier start beats the recorded winner.
     fn first_beaten_round(&self, from: usize, until: usize, rho: f64) -> Option<usize> {
-        (from..until).find(|&t| strictly_lt(rho.max(self.min_load[t]), self.winner_key[t]))
+        let r = &self.log.rounds;
+        (from..until).find(|&t| strictly_lt(rho.max(r.min_load[t]), r.winner_key[t]))
     }
 
     /// Whether `rank` is exactly the recorded rank (recost replans keep
     /// the task set, so the whole rank must agree).
     fn rank_matches(&self, rank: &Arc<PriorityRank>) -> bool {
-        Arc::ptr_eq(rank, &self.rank) || rank[..] == self.rank[..]
+        Arc::ptr_eq(rank, &self.log.rank) || rank[..] == self.log.rank[..]
     }
 
     /// Whether `rank` extends the recorded rank by ranking the arrival
     /// last — the one extension under which every recorded slot (and
     /// thus every record) keeps its meaning.
     fn rank_extends(&self, rank: &PriorityRank, n: usize) -> bool {
-        rank.len() == n && rank[n - 1] as usize == n - 1 && rank[..n - 1] == self.rank[..]
+        rank.len() == n && rank[n - 1] as usize == n - 1 && rank[..n - 1] == self.log.rank[..]
     }
 
-    /// Restores the latest snapshot at or before `first` and replays to
-    /// completion against the mutated `csr`, splicing in every task the
-    /// snapshot predates.
+    /// Restores the state before round `first` over the mutated `csr`
+    /// and replays to completion.
     fn resume_from(
         &self,
         csr: &CsrDag,
@@ -2058,152 +2135,16 @@ impl ReplanRun {
         first: usize,
         ws: &mut KernelWorkspace,
     ) -> Result<Self, ModelError> {
-        let ci = self
-            .checkpoints
-            .iter()
-            .rposition(|c| c.round <= first)
-            .expect("a non-empty run always snapshots round 0");
-        let ck = &self.checkpoints[ci];
-        ws.state.clone_from(&ck.state);
-        let admission = ReplanAdmission::restored(self.cap, ck.memsize.clone());
-        self.adapt_new_tasks(csr, &rank, ck.round, ws);
-        // The replay re-records from the restored round; keep only the
-        // records strictly before it (identical by construction).
-        let records = Records {
-            placed: self.placed[..ck.round].to_vec(),
-            winner_key: self.winner_key[..ck.round].to_vec(),
-            min_load: self.min_load[..ck.round].to_vec(),
-            reject_min: self.reject_min[..ck.round].to_vec(),
-            checkpoints: self.checkpoints[..ci].to_vec(),
-        };
-        Self::drive(csr, self.m, rank, self.cap, admission, records, ws)
-    }
-
-    /// Splices every task the restored snapshot predates into the
-    /// state. A snapshot taken before round `at` can be older than
-    /// several arrivals — earlier replans keep the snapshots before
-    /// their restore point, and those snapshots keep their pre-arrival
-    /// task count — so all of `state.n .. csr.n()` is (re-)spliced, in
-    /// index order.
-    ///
-    /// For each spliced task: predecessors the restored prefix already
-    /// placed contribute their completions to its ready time; the rest
-    /// will find it on their successor lists during the replay (the CSR
-    /// is mutated in place) and decrement it like any other frontier
-    /// task. A kept snapshot always predates the splice point of every
-    /// task it is missing (`ck.round < place_round[t]`, because each
-    /// arrival's replay restored at or before its ready round), so a
-    /// missing predecessor is never read for its start time — it is
-    /// counted as outstanding instead. A task ready at restore time
-    /// enters the ready structures exactly where a from-scratch run's
-    /// migration would put it: runnable iff its ready time is
-    /// (approximately) at or below the minimum load, pending otherwise.
-    ///
-    /// Every spliced task owns its own slot (`rank[t] == t`, pinned by
-    /// the rank guards of the arrival replans), so the snapshot's slot
-    /// tables extend without renumbering.
-    fn adapt_new_tasks(
-        &self,
-        csr: &CsrDag,
-        rank: &PriorityRank,
-        at: usize,
-        ws: &mut KernelWorkspace,
-    ) {
-        let n = csr.n();
-        let state = &mut ws.state;
-        if state.preds.len() >= n {
-            return;
-        }
-        state.runnable.grow(n);
-        // `rank[t]` is read once at the tail of a mostly-stateful body;
-        // an enumerate over `rank` would obscure the splice semantics.
-        #[allow(clippy::needless_range_loop)]
-        for t in state.preds.len()..n {
-            let mut ready = 0.0f64;
-            let mut remaining = 0u32;
-            for &u in csr.preds(t) {
-                let u = u as usize;
-                if u < self.place_round.len() && (self.place_round[u] as usize) < at {
-                    ready = ready.max(state.start[u] + csr.p(u));
-                } else {
-                    remaining += 1;
-                }
-            }
-            state.preds.push(PredState { ready, remaining });
-            state.proc_of.push(0);
-            state.start.push(0.0);
-            state.slot_of_task.push(t as u32);
-            state.task_of_slot.push(t as u32);
-            if remaining == 0 {
-                if approx_le(ready, state.procs.min_load()) {
-                    state.runnable.insert(t as u32);
-                } else {
-                    state
-                        .pending
-                        .push(pend_key(ready, rank_task(rank[t], t as u32)));
-                }
-            }
-        }
-    }
-
-    /// Runs the workspace's state to completion, snapshotting every
-    /// [`checkpoint_stride`] rounds and extending the per-round records
-    /// (which must already cover the rounds before `state.round`).
-    fn drive(
-        csr: &CsrDag,
-        m: usize,
-        rank: Arc<PriorityRank>,
-        cap: Option<f64>,
-        mut admission: ReplanAdmission,
-        records: Records,
-        ws: &mut KernelWorkspace,
-    ) -> Result<Self, ModelError> {
-        let Records {
-            mut placed,
-            mut winner_key,
-            mut min_load,
-            mut reject_min,
-            mut checkpoints,
-        } = records;
-        let n = csr.n();
-        let stride = checkpoint_stride(n);
-        let first = ws.state.round;
-        debug_assert_eq!(placed.len(), first);
-        ws.scratch.clear();
-        while ws.state.round < n {
-            if ws.state.round.is_multiple_of(PROBE_STRIDE) {
-                ws.probe.poll()?;
-            }
-            if ws.state.round.is_multiple_of(stride) {
-                checkpoints.push(Arc::new(Checkpoint {
-                    round: ws.state.round,
-                    state: ws.state.clone(),
-                    memsize: admission.memsize_snapshot(),
-                }));
-            }
-            min_load.push(ws.state.procs.min_load());
-            let (task, key) = ws.state.step(csr, &rank, &mut admission, &mut ws.scratch)?;
-            placed.push(task);
-            winner_key.push(key);
-            reject_min.push(admission.take_round_min());
-        }
-        let outcome = ws.state.finish(m)?;
-        let mut place_round = vec![0u32; n];
-        for (r, &t) in placed.iter().enumerate() {
-            place_round[t as usize] = r as u32;
-        }
+        ws.state.restore(csr, self.m, &rank, &self.log, first);
+        let mut admission =
+            ReplanAdmission::new(self.cap, || self.log.memsize_before(csr, self.m, first));
+        // The records before `first` are identical by construction.
+        let rounds = self.log.rounds.prefix(first);
+        let (log, replayed) = RunLog::record(csr, self.m, rank, &mut admission, rounds, ws)?;
         Ok(ReplanRun {
-            m,
-            cap,
-            rank,
-            placed,
-            place_round,
-            winner_key,
-            min_load,
-            reject_min,
-            checkpoints,
-            outcome,
-            replayed: n - first,
+            log: Arc::new(log),
+            replayed,
+            ..self.clone()
         })
     }
 
@@ -2216,40 +2157,29 @@ impl ReplanRun {
     /// Number of tasks this run scheduled.
     #[inline]
     pub fn n(&self) -> usize {
-        self.placed.len()
+        self.log.n()
     }
 
     /// The produced schedule and Lemma-4 bookkeeping.
     #[inline]
     pub fn outcome(&self) -> &KernelOutcome {
-        &self.outcome
+        &self.log.outcome
     }
 
     /// The priority rank the run was recorded under.
     #[inline]
     pub fn rank(&self) -> &Arc<PriorityRank> {
-        &self.rank
+        &self.log.rank
     }
 
     /// Rounds actually executed to produce this run: `n` for a cold
-    /// run, `0` for a provable no-op, the replayed suffix length
-    /// otherwise. The engine layer's incremental-work costing reads
-    /// this.
+    /// run, `0` for a provable no-op, and exactly `n − first` for a
+    /// replay from the first affected round `first`. The engine layer's
+    /// incremental-work costing reads this.
     #[inline]
     pub fn replayed_rounds(&self) -> usize {
         self.replayed
     }
-}
-
-/// The per-round record vectors of a [`ReplanRun`], bundled so the
-/// drive loop's signature stays readable.
-#[derive(Debug, Default)]
-struct Records {
-    placed: Vec<u32>,
-    winner_key: Vec<f64>,
-    min_load: Vec<f64>,
-    reject_min: Vec<f64>,
-    checkpoints: Vec<Arc<Checkpoint>>,
 }
 
 #[cfg(test)]
@@ -2475,6 +2405,14 @@ mod tests {
         let mut chain = CheckpointedRun::cold(&inst, Arc::clone(&rank), 2.25 * lb).unwrap();
         for &delta in &[2.5, 2.75, 3.5, 6.0, 100.0] {
             let cap = delta * lb;
+            // The first round whose smallest rejected value the new cap
+            // admits: the resume restarts exactly there.
+            let divergence = chain
+                .log
+                .rounds
+                .reject_min
+                .iter()
+                .position(|&v| v.is_finite() && approx_le(v, cap));
             chain = chain.resume(cap).unwrap();
             let cold = CheckpointedRun::cold(&inst, Arc::clone(&rank), cap).unwrap();
             assert_eq!(
@@ -2483,7 +2421,8 @@ mod tests {
                 "∆={delta}"
             );
             assert_eq!(chain.outcome().marked, cold.outcome().marked, "∆={delta}");
-            assert!(chain.replayed_rounds() <= inst.n());
+            let expected = divergence.map_or(0, |d| inst.n() - d);
+            assert_eq!(chain.replayed_rounds(), expected, "∆={delta}");
         }
     }
 
@@ -2616,10 +2555,15 @@ mod tests {
             })
             .unwrap();
             let rank = Arc::new(index_priority(csr.n()));
+            let first = match run.first_affected(&csr, &rank, ReplanDelta::Arrival) {
+                ReplanStart::From(first) => first,
+                other => panic!("an index-ranked arrival replays, got {other:?}"),
+            };
             run = run
                 .replan(&csr, rank, ReplanDelta::Arrival, &mut ws)
                 .unwrap();
             assert_matches_cold(&run, &csr, m, None, "arrival");
+            assert_eq!(run.replayed_rounds(), csr.n() - first);
             if run.replayed_rounds() < csr.n() {
                 warm_hits += 1;
             }
@@ -2640,6 +2584,7 @@ mod tests {
         let mut rng = XorShift(0xA5A5A5A5DEADBEEF);
         for _ in 0..25 {
             let i = rng.below(csr.n() as u64) as u32;
+            let placed_at = run.log.place_round[i as usize] as usize;
             csr.apply_delta(&sws_dag::CsrDelta::Recost {
                 task: i,
                 p: Some(rng.cost()),
@@ -2659,9 +2604,10 @@ mod tests {
                 )
                 .unwrap();
             assert_matches_cold(&run, &csr, m, None, "recost-p");
-            assert!(
-                run.replayed_rounds() <= csr.n(),
-                "replay longer than the instance"
+            assert_eq!(
+                run.replayed_rounds(),
+                csr.n() - placed_at,
+                "an uncapped p re-estimate replays from its placement round"
             );
         }
     }
@@ -2765,9 +2711,15 @@ mod tests {
             };
             csr.apply_delta(&delta).unwrap();
             let rank = Arc::new(index_priority(csr.n()));
+            let expected = match run.first_affected(&csr, &rank, kdelta) {
+                ReplanStart::From(first) => csr.n() - first,
+                ReplanStart::Reuse => 0,
+                ReplanStart::Cold => panic!("index ranks always match the records"),
+            };
             match run.replan(&csr, Arc::clone(&rank), kdelta, &mut ws) {
                 Ok(next) => {
                     assert_matches_cold(&next, &csr, m, cap, &format!("capped event {ev}"));
+                    assert_eq!(next.replayed_rounds(), expected, "capped event {ev}");
                     run = next;
                 }
                 Err(_) => {
@@ -2816,5 +2768,391 @@ mod tests {
         let mut cold_ws = KernelWorkspace::new();
         let cold = ReplanRun::cold(&csr, m, reversed, None, &mut cold_ws).unwrap();
         assert_eq!(next.outcome().schedule, cold.outcome().schedule);
+    }
+
+    // --- Restore: the state before any round, from the placement log ---
+
+    /// Small-integer costs, signed zeros included, so ready times often
+    /// tie with the minimum load.
+    const TIE_P: [f64; 5] = [-0.0, 0.0, 1.0, 2.0, 3.0];
+    const TIE_S: [f64; 4] = [-0.0, 0.0, 1.0, 4.0];
+
+    /// A seeded layered DAG with [`TIE_P`]/[`TIE_S`] costs.
+    fn tie_layered(seed: u64, n: usize) -> sws_dag::TaskGraph {
+        let mut rng = XorShift(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
+        layered_random(n, 6, 0.3, &mut sws_workloads::seeded_rng(seed)).with_costs(|_| {
+            sws_model::task::Task {
+                p: TIE_P[rng.below(5) as usize],
+                s: TIE_S[rng.below(4) as usize],
+            }
+        })
+    }
+
+    /// The storage-heavy staged shape of
+    /// [`sws_workloads::dagsets::storage_heavy_staged`], on which a
+    /// memory cap binds, re-costed with small integers and signed zeros
+    /// (long tasks store little, short ones much) so ready times tie
+    /// with loads.
+    fn tie_staged(seed: u64, n: usize, m: usize) -> sws_dag::TaskGraph {
+        let staged = sws_workloads::dagsets::storage_heavy_staged(
+            n,
+            m,
+            &mut sws_workloads::seeded_rng(seed),
+        );
+        let mut rng = XorShift(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
+        let mut pick = |xs: &[f64]| xs[rng.below(xs.len() as u64) as usize];
+        staged.graph().with_costs(|i| {
+            let t = staged.tasks().get(i);
+            let (p, s) = if t.p >= 50.0 {
+                (pick(&[3.0, 4.0, 5.0]), pick(&[-0.0, 0.0, 1.0]))
+            } else if t.s >= 10.0 {
+                (pick(&[-0.0, 0.0, 1.0]), pick(&[4.0, 6.0]))
+            } else {
+                (pick(&[1.0, 2.0]), pick(&[-0.0, 1.0]))
+            };
+            sws_model::task::Task { p, s }
+        })
+    }
+
+    /// `factor` times the Graham memory bound `max(Σs/m, max s)`.
+    fn memory_cap(csr: &CsrDag, m: usize, factor: f64) -> f64 {
+        let total: f64 = (0..csr.n()).map(|i| csr.s(i)).sum();
+        let largest = (0..csr.n()).map(|i| csr.s(i)).fold(0.0, f64::max);
+        factor * (total / m as f64).max(largest)
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runnable slots and sorted pending keys of `state` as stored.
+    fn stored_split(state: &EngineState) -> (Vec<u32>, Vec<u128>) {
+        let l0 = &state.runnable.l0;
+        let runnable = (0..l0.len() * 64)
+            .filter(|&s| l0[s / 64] >> (s % 64) & 1 == 1)
+            .map(|s| s as u32)
+            .collect();
+        let mut pending = state.pending.heap.clone();
+        pending.sort_unstable();
+        (runnable, pending)
+    }
+
+    /// [`stored_split`] after the migration the next round starts with:
+    /// pending entries ready at or below the minimum load are runnable.
+    fn canonical_split(state: &EngineState) -> (Vec<u32>, Vec<u128>) {
+        let (mut runnable, stored) = stored_split(state);
+        let l_min = state.procs.min_load();
+        let (migrating, pending): (Vec<u128>, Vec<u128>) = stored
+            .into_iter()
+            .partition(|&k| approx_le(pend_ready(k), l_min));
+        runnable.extend(
+            migrating
+                .iter()
+                .map(|&k| state.slot_of_task[task_of(pend_pack(k)) as usize]),
+        );
+        runnable.sort_unstable();
+        (runnable, pending)
+    }
+
+    fn assert_same_outcome(got: &KernelOutcome, expect: &KernelOutcome, what: &str) {
+        let n = expect.schedule.n();
+        assert_eq!(got.schedule.n(), n, "{what}");
+        for i in 0..n {
+            assert_eq!(
+                got.schedule.start(i).to_bits(),
+                expect.schedule.start(i).to_bits(),
+                "{what}: start of task {i}"
+            );
+            assert_eq!(
+                got.schedule.proc_of(i),
+                expect.schedule.proc_of(i),
+                "{what}: processor of task {i}"
+            );
+        }
+        assert_eq!(got.marked, expect.marked, "{what}: marks");
+    }
+
+    /// Restores `log` over `csr` before round `d` and checks the state
+    /// against a fresh run of `csr` stepped `d` rounds, then steps it to
+    /// the end and checks the schedule against `expect` bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn check_restore(
+        csr: &CsrDag,
+        m: usize,
+        cap: Option<f64>,
+        rank: &Arc<PriorityRank>,
+        log: &RunLog,
+        d: usize,
+        expect: &KernelOutcome,
+        ws: &mut KernelWorkspace,
+    ) {
+        let n = csr.n();
+        let mut fresh = KernelWorkspace::new();
+        fresh.state.init(csr, m, rank);
+        let mut fresh_adm = ReplanAdmission::new(cap, || vec![0.0; m]);
+        for _ in 0..d {
+            fresh
+                .state
+                .step(csr, rank, &mut fresh_adm, &mut fresh.scratch)
+                .unwrap();
+        }
+
+        ws.state.restore(csr, m, rank, log, d);
+        let (st, fr) = (&ws.state, &fresh.state);
+        assert_eq!(st.round, d);
+        assert_eq!(
+            stored_split(st),
+            canonical_split(fr),
+            "ready split before round {d}"
+        );
+        assert_eq!(
+            bits(st.procs.loads()),
+            bits(fr.procs.loads()),
+            "loads before round {d}"
+        );
+        assert_eq!(
+            st.procs.min(),
+            fr.procs.min(),
+            "least loaded before round {d}"
+        );
+        assert_eq!(st.mark_round, fr.mark_round, "marks before round {d}");
+        for v in log.rounds.placed[d..]
+            .iter()
+            .map(|&t| t as usize)
+            .chain(log.rounds.placed.len()..n)
+        {
+            let (a, b) = (st.preds[v], fr.preds[v]);
+            assert_eq!(
+                (a.ready.to_bits(), a.remaining),
+                (b.ready.to_bits(), b.remaining),
+                "readiness of unplaced task {v} before round {d}"
+            );
+        }
+        let memsize = log.memsize_before(csr, m, d);
+        if let ReplanAdmission::Capped(a) = &fresh_adm {
+            assert_eq!(
+                bits(&memsize),
+                bits(&a.inner.memsize),
+                "memory before round {d}"
+            );
+        }
+
+        let mut adm = ReplanAdmission::new(cap, || memsize);
+        ws.scratch.clear();
+        while ws.state.round < n {
+            ws.state.step(csr, rank, &mut adm, &mut ws.scratch).unwrap();
+        }
+        let out = ws.state.finish(m).unwrap();
+        assert_same_outcome(&out, expect, &format!("replay from round {d}"));
+    }
+
+    #[test]
+    fn restored_state_matches_a_fresh_run_at_every_round() {
+        let m = 4;
+        let mut ws = KernelWorkspace::new();
+        let (mut marked, mut rejected) = (false, false);
+        for seed in 1..=3u64 {
+            for graph in [tie_layered(seed, 90), tie_staged(seed, 90, m)] {
+                let csr = graph.csr();
+                let rank = Arc::new(index_priority(csr.n()));
+                for cap in [None, Some(memory_cap(&csr, m, 2.0))] {
+                    let run = ReplanRun::cold(&csr, m, Arc::clone(&rank), cap, &mut ws).unwrap();
+                    for d in 0..=csr.n() {
+                        check_restore(&csr, m, cap, &rank, &run.log, d, run.outcome(), &mut ws);
+                    }
+                    marked |= run.outcome().marked.contains(&true);
+                    rejected |= run.log.rounds.reject_min.iter().any(|v| v.is_finite());
+                }
+            }
+        }
+        // The instances must exercise the capped bookkeeping.
+        assert!(marked && rejected, "no capped run marked or rejected");
+    }
+
+    #[test]
+    fn restore_over_a_mutated_instance_matches_a_fresh_run_up_to_the_first_affected_round() {
+        let m = 4;
+        let mut ws = KernelWorkspace::new();
+        let csr = tie_staged(11, 90, m).csr();
+        let n = csr.n();
+        let rank = Arc::new(index_priority(n));
+        for cap in [None, Some(memory_cap(&csr, m, 2.0))] {
+            let run = ReplanRun::cold(&csr, m, Arc::clone(&rank), cap, &mut ws).unwrap();
+            let mid = run.log.rounds.placed[n / 2];
+            let mutations = [
+                (
+                    sws_dag::CsrDelta::AddTask {
+                        preds: vec![mid],
+                        p: 1.0,
+                        s: -0.0,
+                    },
+                    ReplanDelta::Arrival,
+                ),
+                (
+                    sws_dag::CsrDelta::Recost {
+                        task: mid,
+                        p: Some(csr.p(mid as usize) + 2.0),
+                        s: None,
+                    },
+                    ReplanDelta::Recost {
+                        task: mid,
+                        p_changed: true,
+                        s_shift: CostShift::Unchanged,
+                    },
+                ),
+            ];
+            for (delta, kdelta) in mutations {
+                let mut mutated = csr.clone();
+                mutated.apply_delta(&delta).unwrap();
+                let mrank = Arc::new(index_priority(mutated.n()));
+                let first = match run.first_affected(&mutated, &mrank, kdelta) {
+                    ReplanStart::From(first) => first,
+                    other => panic!("{kdelta:?} must replay, got {other:?}"),
+                };
+                assert!(first > 0, "{kdelta:?} affects round 0");
+                let mut cold_ws = KernelWorkspace::new();
+                let expect =
+                    ReplanRun::cold(&mutated, m, Arc::clone(&mrank), cap, &mut cold_ws).unwrap();
+                for d in 0..=first {
+                    check_restore(
+                        &mutated,
+                        m,
+                        cap,
+                        &mrank,
+                        &run.log,
+                        d,
+                        expect.outcome(),
+                        &mut ws,
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resume_replays_exactly_from_the_divergence_round() {
+        let m = 4;
+        let inst = DagInstance::new(tie_staged(3, 120, m), m).unwrap();
+        let csr = inst.csr();
+        let n = csr.n();
+        let rank = Arc::new(index_priority(n));
+        let lb = memory_cap(&csr, m, 1.0);
+        let mut chain = CheckpointedRun::cold(&inst, Arc::clone(&rank), 2.0 * lb).unwrap();
+        let mut partial = 0;
+        for k in 1..=24 {
+            let cap = (2.0 + k as f64 / 8.0) * lb;
+            let divergence = chain
+                .log
+                .rounds
+                .reject_min
+                .iter()
+                .position(|&v| v.is_finite() && approx_le(v, cap));
+            chain = chain.resume(cap).unwrap();
+            let cold = CheckpointedRun::cold(&inst, Arc::clone(&rank), cap).unwrap();
+            assert_same_outcome(chain.outcome(), cold.outcome(), &format!("cap {cap}"));
+            let expected = divergence.map_or(0, |d| n - d);
+            assert_eq!(chain.replayed_rounds(), expected, "cap {cap}");
+            partial += usize::from(expected > 0 && expected < n);
+        }
+        assert!(partial > 0, "no resume replayed a proper suffix");
+    }
+
+    #[test]
+    fn resumes_through_a_stale_workspace_match_cold_runs() {
+        let m = 4;
+        let inst = DagInstance::new(tie_staged(5, 90, m), m).unwrap();
+        let csr = Arc::new(inst.csr());
+        let n = csr.n();
+        let rank = Arc::new(index_priority(n));
+        let lb = memory_cap(&csr, m, 1.0);
+        let larger = DagInstance::new(gaussian_elimination(16), 7).unwrap();
+        let smaller = DagInstance::new(chain(5), 2).unwrap();
+        let mut cold_ws = KernelWorkspace::new();
+        let mut ws = KernelWorkspace::new();
+        let base = CheckpointedRun::cold_in(
+            &inst,
+            Arc::clone(&csr),
+            Arc::clone(&rank),
+            2.0 * lb,
+            &mut ws,
+        )
+        .unwrap();
+        let session = ReplanRun::cold(&csr, m, Arc::clone(&rank), Some(2.0 * lb), &mut ws).unwrap();
+        let mid = session.log.rounds.placed[n / 2];
+        let mut recosted = (*csr).clone();
+        recosted
+            .apply_delta(&sws_dag::CsrDelta::Recost {
+                task: mid,
+                p: Some(csr.p(mid as usize) + 1.0),
+                s: None,
+            })
+            .unwrap();
+        let recost = ReplanDelta::Recost {
+            task: mid,
+            p_changed: true,
+            s_shift: CostShift::Unchanged,
+        };
+        let cap = 2.5 * lb;
+        let cold = CheckpointedRun::cold(&inst, Arc::clone(&rank), cap).unwrap();
+        let cold_replan = ReplanRun::cold(
+            &recosted,
+            m,
+            Arc::clone(&rank),
+            Some(2.0 * lb),
+            &mut cold_ws,
+        )
+        .unwrap();
+        for stale in ["larger instance", "smaller instance", "detached run"] {
+            let leave_behind = |ws: &mut KernelWorkspace| match stale {
+                "larger instance" => {
+                    let rank = index_priority(larger.n());
+                    event_driven_schedule_csr(
+                        &larger.csr(),
+                        larger.m(),
+                        &rank,
+                        &mut Unrestricted,
+                        ws,
+                    )
+                    .unwrap();
+                }
+                "smaller instance" => {
+                    let rank = index_priority(smaller.n());
+                    event_driven_schedule_csr(
+                        &smaller.csr(),
+                        smaller.m(),
+                        &rank,
+                        &mut Unrestricted,
+                        ws,
+                    )
+                    .unwrap();
+                }
+                _ => {
+                    let mut adm = MemoryCapAdmission::new(m, 7.0 * lb);
+                    event_driven_schedule_csr(&csr, m, &rank, &mut adm, ws).unwrap();
+                }
+            };
+            leave_behind(&mut ws);
+            let warm = base.resume_in(cap, &mut ws).unwrap();
+            assert!(
+                warm.replayed_rounds() > 0 && warm.replayed_rounds() < n,
+                "the cap resume must restore mid-run"
+            );
+            assert_same_outcome(
+                warm.outcome(),
+                cold.outcome(),
+                &format!("resume after a {stale}"),
+            );
+
+            leave_behind(&mut ws);
+            let warm = session
+                .replan(&recosted, Arc::clone(&rank), recost, &mut ws)
+                .unwrap();
+            assert!(warm.replayed_rounds() > 0 && warm.replayed_rounds() < n);
+            assert_same_outcome(
+                warm.outcome(),
+                cold_replan.outcome(),
+                &format!("replan after a {stale}"),
+            );
+        }
     }
 }

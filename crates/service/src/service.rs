@@ -235,10 +235,14 @@ impl Shared {
         global.queued = gauges.iter().map(|g| g.depth).sum();
         global.deficit = gauges.iter().map(|g| g.deficit).sum();
         global.head_wait = gauges.iter().filter_map(|g| g.head_wait).max();
+        // The queue's length is the sum of its lane depths under one
+        // lock; reading it again here would race the workers' pops and
+        // break the snapshot's `global.queued == queue_depth`.
+        let queue_depth = global.queued;
         ServiceStats {
             global,
             tenants,
-            queue_depth: self.queue.depth(),
+            queue_depth,
             queue_capacity: self.queue.capacity(),
         }
     }

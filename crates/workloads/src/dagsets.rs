@@ -139,11 +139,63 @@ pub fn dag_workload(
     DagInstance::new(graph, m).expect("generators produce acyclic graphs and m > 0")
 }
 
+/// A storage-heavy staged DAG of about `target_n` tasks on `m ≥ 2`
+/// processors, the shape on which RLS∆'s `∆·LB` memory cap binds over a
+/// wide ∆ range. Each stage holds `m − 1` long tasks that store little
+/// (`p ∈ [50, 100)`, `s ∈ [1, 10)`) and `m / 2` short ones that store
+/// much (`p ∈ [0.5, 1)`, `s ∈ [10, 20)`), all behind the previous
+/// stage's join task. The long tasks take `m − 1` processors, so the
+/// short ones pile onto the one left over until its memory rejects
+/// them — and every rejection is a round a warm ∆-sweep resume may
+/// have to replay from.
+pub fn storage_heavy_staged(target_n: usize, m: usize, rng: &mut WorkloadRng) -> DagInstance {
+    assert!(
+        m >= 2,
+        "the staged shape needs a processor beside the long tasks"
+    );
+    let width = m - 1 + m / 2;
+    let stages = (target_n / (width + 1)).max(1);
+    let mut tasks = Vec::with_capacity(stages * (width + 1));
+    let mut edges = Vec::new();
+    let mut join = None;
+    for _ in 0..stages {
+        let first = tasks.len();
+        for j in 0..width {
+            let (p, s) = if j < m - 1 {
+                (rng.gen_range(50.0..100.0), rng.gen_range(1.0..10.0))
+            } else {
+                (rng.gen_range(0.5..1.0), rng.gen_range(10.0..20.0))
+            };
+            tasks.push(Task { p, s });
+            edges.extend(join.map(|u| (u, first + j)));
+            edges.push((first + j, first + width));
+        }
+        tasks.push(Task {
+            p: rng.gen_range(1.0..2.0),
+            s: rng.gen_range(1.0..10.0),
+        });
+        join = Some(first + width);
+    }
+    let tasks = sws_model::task::TaskSet::new(tasks).expect("finite positive costs");
+    let graph = TaskGraph::from_edges(tasks, &edges).expect("stage edges run forward");
+    DagInstance::new(graph, m).expect("an acyclic graph and m > 0")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::seeded_rng;
     use sws_dag::analysis::structurally_sound;
+
+    #[test]
+    fn storage_heavy_staged_has_the_stage_shape() {
+        let inst = storage_heavy_staged(100, 8, &mut seeded_rng(33));
+        // Per stage: 7 long + 4 short tasks and one join.
+        assert_eq!(inst.n(), 100 / 12 * 12);
+        assert_eq!(inst.m(), 8);
+        assert!(structurally_sound(inst.graph()));
+        assert_eq!(inst.graph().sinks(), vec![inst.n() - 1]);
+    }
 
     #[test]
     fn every_family_produces_a_valid_instance() {
