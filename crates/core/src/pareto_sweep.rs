@@ -16,11 +16,12 @@
 //!
 //! * **RLS∆** — the memory cap `∆·LB` grows monotonically along the
 //!   sorted grid, so [`SweepEngine`] walks each chunk of consecutive ∆
-//!   values as a warm chain ([`crate::rls::RlsEngine`] on top of the
-//!   kernel's cap-resume support): every run restores the previous one's
-//!   state at the first scheduling round whose admissibility verdict
-//!   changes, replays only from there, and replays nothing once the cap
-//!   stops binding.
+//!   values as a warm chain ([`crate::rls::RlsEngine`], which feeds each
+//!   cap raise to the kernel's `ReplanRun` as a `ReplanDelta::Cap` — the
+//!   same warm start a replanning session applies to arrivals and
+//!   recosts): every run restores the previous one's state at the first
+//!   scheduling round whose admissibility verdict changes, replays only
+//!   from there, and replays nothing once the cap stops binding.
 //! * **SBO∆** — the two inner schedules `π₁`/`π₂` do not depend on ∆ at
 //!   all, so [`crate::sbo::SboEngine`] computes them once and each grid
 //!   point costs only the `O(n)` threshold routing.
@@ -387,8 +388,7 @@ fn validate_rls_delta_min(delta_min: f64) -> Result<(), ModelError> {
 /// Sweeps RLS∆ over a geometric ∆ grid (all values must exceed 2) and
 /// returns the non-dominated achieved points, sorted by increasing
 /// makespan. Adjacent grid points are warm-started through the kernel's
-/// cap-resume support; the curve is bit-identical to
-/// [`rls_sweep_cold`]'s.
+/// cap-raise replan; the curve is bit-identical to [`rls_sweep_cold`]'s.
 pub fn rls_sweep(
     inst: &DagInstance,
     config: &RlsConfig,

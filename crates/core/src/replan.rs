@@ -3,11 +3,10 @@
 //!
 //! Everything below this module solves a frozen DAG: any task arrival,
 //! completion or cost re-estimate forces a from-scratch solve. The
-//! warm-start machinery of `sws_listsched::kernel` already proves (for
-//! cap deltas) that restoring the kernel state at the first affected
-//! round from the previous run's placement log, and replaying only from
-//! there, is bit-identical and an order of magnitude cheaper; a
-//! [`ReplanEngine`] carries that machinery across
+//! kernel's one warm-start mechanism ([`ReplanRun`]) restores the
+//! kernel state at the first affected round from the previous run's
+//! placement log and replays only from there, bit-identically — the
+//! ∆-sweeps feed it cap raises; a [`ReplanEngine`] feeds it
 //! [`CsrDelta`](sws_dag::CsrDelta) streams:
 //!
 //! * the instance mutates **in place** (`CsrDag::apply_delta` — no
@@ -55,8 +54,9 @@ use sws_model::solve::{
 ///
 /// The session's admission policy is **fixed at open**: `None` caps
 /// nothing (Graham DAG list scheduling), `Some(cap)` enforces the
-/// paper's per-processor memory cap. Machines do not grow RAM mid-run;
-/// cap *sweeps* stay with `sws_core::pareto_sweep`.
+/// paper's per-processor memory cap. Machines do not grow RAM mid-run,
+/// so the engine never issues a `ReplanDelta::Cap`; cap *sweeps* stay
+/// with `sws_core::pareto_sweep`.
 #[derive(Debug)]
 pub struct ReplanEngine {
     csr: Arc<CsrDag>,

@@ -33,8 +33,8 @@
 
 use sws_dag::{CsrDag, DagInstance, TaskGraph};
 use sws_listsched::kernel::{
-    event_driven_schedule, event_driven_schedule_csr, CheckpointedRun, KernelWorkspace,
-    MemoryCapAdmission,
+    event_driven_schedule, event_driven_schedule_csr, KernelWorkspace, MemoryCapAdmission,
+    ReplanDelta, ReplanRun,
 };
 use sws_listsched::priority::{
     hlf_priority, index_priority, largest_storage_priority, largest_storage_priority_csr,
@@ -356,15 +356,17 @@ pub fn rls_independent_in(
 
 /// Warm-startable RLS∆ engine over one instance: runs a *chain* of ∆
 /// values, warm-starting each run from the previous one's placement log
-/// through the kernel's cap-resume support ([`CheckpointedRun`]).
+/// through the kernel's one warm-start mechanism ([`ReplanRun`], fed a
+/// [`ReplanDelta::Cap`] per step).
 ///
 /// The memory cap `∆·LB` grows with ∆, so along an ascending ∆ chain the
-/// admissible processor sets only grow and each run replays the previous
+/// admissible processor sets only grow and each run reuses the previous
 /// one up to the first scheduling round whose admissibility verdict
-/// changes — often zero rounds once the cap stops binding. Every run's
-/// output is **bit-identical** to a from-scratch [`rls`] call at the
-/// same ∆ (the differential suite checks this schedule for schedule); a
-/// descending step is valid too, it just falls back to a cold run.
+/// changes, replaying only from there — often zero rounds once the cap
+/// stops binding. Every run's output is **bit-identical** to a
+/// from-scratch [`rls`] call at the same ∆ (the differential suite
+/// checks this schedule for schedule); a descending step is valid too,
+/// it just falls back to a cold run.
 ///
 /// This is the per-worker building block of the incremental ∆-sweeps in
 /// [`crate::pareto_sweep`].
@@ -373,8 +375,8 @@ pub struct RlsEngine<'a> {
     inst: &'a DagInstance,
     order: PriorityOrder,
     rank: std::sync::Arc<PriorityRank>,
-    /// Flat CSR mirror of the instance, built once per engine and shared
-    /// with every recorded run of the chain.
+    /// Flat CSR mirror of the instance, built once per engine (or per
+    /// sweep) and replayed against by every run of the chain.
     csr: std::sync::Arc<CsrDag>,
     /// The Graham memory lower bound, computed once (it only depends on
     /// the instance).
@@ -384,7 +386,7 @@ pub struct RlsEngine<'a> {
     ws: KernelWorkspace,
     /// Reusable admissibility predicate for detached runs.
     admission: MemoryCapAdmission,
-    last: Option<CheckpointedRun<'a>>,
+    last: Option<ReplanRun>,
 }
 
 impl<'a> RlsEngine<'a> {
@@ -397,20 +399,9 @@ impl<'a> RlsEngine<'a> {
     }
 
     /// Like [`RlsEngine::new`], but with a precomputed priority rank for
-    /// `order` on this instance — lets a sweep share one rank across its
-    /// per-worker chains instead of recomputing the same DAG traversal
-    /// per worker.
-    pub fn with_rank(
-        inst: &'a DagInstance,
-        order: PriorityOrder,
-        rank: std::sync::Arc<PriorityRank>,
-    ) -> Self {
-        Self::with_parts(inst, order, rank, std::sync::Arc::new(inst.csr()))
-    }
-
-    /// Like [`RlsEngine::with_rank`], but additionally sharing a
-    /// prebuilt CSR instance mirror — lets a sweep flatten the instance
-    /// once for all its per-worker chains.
+    /// `order` on this instance and a prebuilt CSR instance mirror —
+    /// lets a sweep rank and flatten the instance once for all its
+    /// per-worker chains.
     pub fn with_parts(
         inst: &'a DagInstance,
         order: PriorityOrder,
@@ -440,15 +431,10 @@ impl<'a> RlsEngine<'a> {
             order: self.order,
         };
         let cap = delta * self.lb;
+        let rank = std::sync::Arc::clone(&self.rank);
         let run = match &self.last {
-            Some(prev) => prev.resume_in(cap, &mut self.ws)?,
-            None => CheckpointedRun::cold_in(
-                self.inst,
-                std::sync::Arc::clone(&self.csr),
-                std::sync::Arc::clone(&self.rank),
-                cap,
-                &mut self.ws,
-            )?,
+            Some(prev) => prev.replan(&self.csr, rank, ReplanDelta::Cap(cap), &mut self.ws)?,
+            None => ReplanRun::cold(&self.csr, self.inst.m(), rank, Some(cap), &mut self.ws)?,
         };
         let result = RlsResult {
             schedule: run.outcome().schedule.clone(),
@@ -494,7 +480,7 @@ impl<'a> RlsEngine<'a> {
     /// round is `d`; `None` before the first run. Exposed for tests and
     /// sweep telemetry.
     pub fn replayed_rounds(&self) -> Option<usize> {
-        self.last.as_ref().map(CheckpointedRun::replayed_rounds)
+        self.last.as_ref().map(ReplanRun::replayed_rounds)
     }
 }
 

@@ -24,7 +24,7 @@
 //!   three-level hierarchical bitmap) and a ready-time keyed 4-ary
 //!   *pending* heap;
 //! * an **indexed 4-ary min-heap over processor loads** ([`ProcHeap`]) whose
-//!   ordered traversal ([`ProcHeap::probe`]) finds the least loaded
+//!   ordered traversal ([`ProcHeap::probe_with`]) finds the least loaded
 //!   processor satisfying a pluggable **admissibility predicate**
 //!   ([`Admission`]) — plain Graham ([`Unrestricted`]) and RLS∆'s
 //!   `memsize[q] + s_i ≤ ∆·LB` filter ([`MemoryCapAdmission`]) are the
@@ -33,18 +33,17 @@
 //!   winning probe are exactly the "marked" processors of the paper's
 //!   analysis, so marking costs `O(#skipped)` instead of a per-candidate
 //!   `O(m)` sweep;
-//! * **warm starts from the placement log** ([`CheckpointedRun`],
-//!   [`ReplanRun`]): a recorded run keeps, per round, the task it placed
-//!   and the smallest rejected admissibility value, plus each
-//!   processor's first marked round. The state before any round `d` is
-//!   a pure function of those records and the previous outcome, so a
-//!   later run at a larger cap (or over a mutated instance) rebuilds it
+//! * **warm starts from the placement log** ([`ReplanRun`]): a recorded
+//!   run keeps, per round, the task it placed and the smallest rejected
+//!   admissibility value, plus each processor's first marked round. The
+//!   state before any round `d` is a pure function of those records and
+//!   the previous outcome, so a later run at a larger cap or over a
+//!   mutated instance (one [`ReplanDelta`] either way) rebuilds it
 //!   directly ([`EngineState::restore`]) and replays only from the
 //!   first round whose verdicts can change — costing nothing when none
-//!   does. This is the warm-start backbone of the incremental Pareto
-//!   sweeps in
-//!   `sws_core::pareto_sweep` and of the replanning sessions in
-//!   `sws_core::replan`.
+//!   does. This one mechanism is the warm-start backbone of both the
+//!   incremental Pareto sweeps in `sws_core::pareto_sweep` and the
+//!   replanning sessions in `sws_core::replan`.
 //!
 //! # Memory story (allocation-free steady state)
 //!
@@ -322,24 +321,14 @@ impl ProcHeap {
     }
     // sws-lint: end-hot-path
 
-    /// Visits processors in increasing `(load, index)` order until `admit`
-    /// accepts one; returns the accepted processor together with the
-    /// processors skipped on the way (all rejected, all with a key no
-    /// larger than the accepted one). `None` when every processor is
-    /// rejected. Allocating convenience wrapper over
-    /// [`ProcHeap::probe_with`].
-    pub fn probe<F: FnMut(usize) -> bool>(&self, admit: F) -> Option<(usize, Vec<usize>)> {
-        let mut frontier = Vec::new();
-        let mut skipped = Vec::new();
-        self.probe_with(admit, &mut frontier, &mut skipped)
-            .map(|q| (q, skipped))
-    }
-
     // sws-lint: hot-path
-    /// Allocation-free probe: the traversal frontier lives in `frontier`
-    /// (cleared on entry) and skipped processors are **appended** to
-    /// `skipped` (the caller records the starting length), so the hot
-    /// loop reuses two workspace buffers instead of allocating two
+    /// Visits processors in increasing `(load, index)` order until `admit`
+    /// accepts one and returns it; `None` when every processor is
+    /// rejected. The processors skipped on the way (all rejected, all
+    /// with a key no larger than the accepted one) are **appended** to
+    /// `skipped` (the caller records the starting length), and the
+    /// traversal frontier lives in `frontier` (cleared on entry), so the
+    /// hot loop reuses two workspace buffers instead of allocating two
     /// vectors per probe.
     ///
     /// The traversal expands the heap lazily, so accepting the first
@@ -1467,71 +1456,92 @@ pub fn event_driven_schedule_csr<A: Admission>(
 /// stays far below the cost of a single scheduling round.
 pub const PROBE_STRIDE: usize = 64;
 
-/// An admission predicate that also reports, per round, the smallest
-/// value it rejected — the record a cap resume finds its first
-/// diverging round in.
-trait RecordingAdmission: Admission {
-    /// Whether the log keeps each round's minimum load and winner key —
-    /// the frontier a replan's first-beaten-round scan reads. Cap
-    /// resumes never read it, so their runs skip recording it.
-    const FRONTIER: bool;
-
-    /// The smallest value rejected since the last call (∞ when none),
-    /// resetting the recorder for the next round.
-    fn take_round_min(&self) -> f64;
-}
-
-/// [`MemoryCapAdmission`] wrapper that additionally records, per round,
-/// the smallest inadmissible `memsize[q] + s` value probed. Interior
-/// mutability because [`Admission::admits`] takes `&self` (heap probes
-/// borrow the predicate immutably).
+/// Admission predicate of a recorded run ([`ReplanRun`]): `Open` caps
+/// nothing (Graham list scheduling); `Capped` enforces the paper's
+/// memory cap and additionally records, per round, the smallest
+/// inadmissible `memsize[q] + s` value probed — the record a cap raise
+/// or a storage re-estimate finds its first diverging round in.
+/// Interior mutability because [`Admission::admits`] takes `&self`
+/// (heap probes borrow the predicate immutably). A concrete enum (not a
+/// generic) so [`ReplanRun`] is a nameable type the engine layer can
+/// store.
 #[derive(Debug)]
-struct RecordingCapAdmission {
-    inner: MemoryCapAdmission,
-    round_reject_min: Cell<f64>,
+enum ReplanAdmission {
+    Open(Unrestricted),
+    Capped {
+        inner: MemoryCapAdmission,
+        round_reject_min: Cell<f64>,
+    },
 }
 
-impl RecordingCapAdmission {
-    fn new(memsize: Vec<f64>, cap: f64) -> Self {
-        RecordingCapAdmission {
-            inner: MemoryCapAdmission { memsize, cap },
-            round_reject_min: Cell::new(f64::INFINITY),
+impl ReplanAdmission {
+    /// Admission state for a run under `cap`, starting from the
+    /// committed memory `memsize` (ignored for open runs).
+    fn new(cap: Option<f64>, memsize: impl FnOnce() -> Vec<f64>) -> Self {
+        match cap {
+            None => ReplanAdmission::Open(Unrestricted),
+            Some(cap) => ReplanAdmission::Capped {
+                inner: MemoryCapAdmission {
+                    memsize: memsize(),
+                    cap,
+                },
+                round_reject_min: Cell::new(f64::INFINITY),
+            },
+        }
+    }
+
+    /// The smallest value rejected since the last call (∞ when none,
+    /// always ∞ for open runs), resetting the recorder for the next
+    /// round.
+    fn take_round_min(&self) -> f64 {
+        match self {
+            ReplanAdmission::Open(_) => f64::INFINITY,
+            ReplanAdmission::Capped {
+                round_reject_min, ..
+            } => round_reject_min.replace(f64::INFINITY),
         }
     }
 }
 
-impl RecordingAdmission for RecordingCapAdmission {
-    const FRONTIER: bool = false;
-
-    fn take_round_min(&self) -> f64 {
-        self.round_reject_min.replace(f64::INFINITY)
-    }
-}
-
-impl Admission for RecordingCapAdmission {
+impl Admission for ReplanAdmission {
     #[inline]
     fn admits(&self, q: usize, s: f64) -> bool {
-        // Delegate the verdict so it can never drift from the predicate
-        // the plain (cold) runs use — the warm/cold bit-identity contract
-        // depends on the two computing exactly the same answer.
-        if self.inner.admits(q, s) {
-            true
-        } else {
-            let v = self.inner.memsize[q] + s;
-            if v < self.round_reject_min.get() {
-                self.round_reject_min.set(v);
+        match self {
+            ReplanAdmission::Open(a) => a.admits(q, s),
+            ReplanAdmission::Capped {
+                inner,
+                round_reject_min,
+            } => {
+                // Delegate the verdict so it can never drift from the
+                // predicate the plain (cold) runs use — the warm/cold
+                // bit-identity contract depends on the two computing
+                // exactly the same answer.
+                if inner.admits(q, s) {
+                    true
+                } else {
+                    let v = inner.memsize[q] + s;
+                    if v < round_reject_min.get() {
+                        round_reject_min.set(v);
+                    }
+                    false
+                }
             }
-            false
         }
     }
 
     #[inline]
     fn commit(&mut self, q: usize, s: f64) {
-        self.inner.commit(q, s);
+        match self {
+            ReplanAdmission::Open(a) => a.commit(q, s),
+            ReplanAdmission::Capped { inner, .. } => inner.commit(q, s),
+        }
     }
 
     fn rejection_error(&self, s: f64) -> ModelError {
-        self.inner.rejection_error(s)
+        match self {
+            ReplanAdmission::Open(a) => a.rejection_error(s),
+            ReplanAdmission::Capped { inner, .. } => inner.rejection_error(s),
+        }
     }
 }
 
@@ -1540,11 +1550,13 @@ impl Admission for RecordingCapAdmission {
 struct Rounds {
     /// The task each round placed.
     placed: Vec<u32>,
-    /// Start key of each round's winner (empty unless the run recorded
-    /// the frontier, see [`RecordingAdmission::FRONTIER`]).
+    /// Start key of each round's winner. Recorded by open runs only:
+    /// it feeds the open-session arrival test
+    /// ([`ReplanRun::first_beaten_round`]), which capped runs never
+    /// take (empty for them).
     winner_key: Vec<f64>,
-    /// Minimum processor load when each round began (empty unless the
-    /// run recorded the frontier).
+    /// Minimum processor load when each round began (open runs only,
+    /// like `winner_key`).
     min_load: Vec<f64>,
     /// Smallest inadmissible `memsize[q] + s` each round probed (∞ when
     /// it rejected nothing; always ∞ uncapped).
@@ -1587,28 +1599,29 @@ impl RunLog {
     /// extending `rounds` (which must cover the rounds before
     /// `state.round`), and seals the log. Also returns the number of
     /// rounds executed.
-    fn record<A: RecordingAdmission>(
+    fn record(
         csr: &CsrDag,
         m: usize,
         rank: Arc<PriorityRank>,
-        admission: &mut A,
+        admission: &mut ReplanAdmission,
         mut rounds: Rounds,
         ws: &mut KernelWorkspace,
     ) -> Result<(RunLog, usize), ModelError> {
         let n = csr.n();
         let first = ws.state.round;
         debug_assert_eq!(rounds.placed.len(), first);
+        let frontier = matches!(admission, ReplanAdmission::Open(_));
         ws.scratch.clear();
         while ws.state.round < n {
             if ws.state.round.is_multiple_of(PROBE_STRIDE) {
                 ws.probe.poll()?;
             }
-            if A::FRONTIER {
+            if frontier {
                 rounds.min_load.push(ws.state.procs.min_load());
             }
             let (task, key) = ws.state.step(csr, &rank, admission, &mut ws.scratch)?;
             rounds.placed.push(task);
-            if A::FRONTIER {
+            if frontier {
                 rounds.winner_key.push(key);
             }
             rounds.reject_min.push(admission.take_round_min());
@@ -1645,224 +1658,6 @@ impl RunLog {
     }
 }
 
-/// A completed memory-capped kernel run that can be **warm-resumed at a
-/// larger cap**: the warm-start backbone of the incremental ∆-sweeps
-/// (`sws_core::pareto_sweep`).
-///
-/// During the run, every admissibility rejection records the value
-/// `memsize[q] + s` that was refused; `reject_min[r]` keeps the smallest
-/// such value of round `r`. Because [`sws_model::numeric::approx_le`] is
-/// monotone in both arguments over non-negative operands, a run at a cap
-/// `cap' ≥ cap` executes **identically** up to the first round whose
-/// smallest rejected value becomes admissible under `cap'` — accepted
-/// probes stay accepted (the cap only grew) and rejected probes stay
-/// rejected (their values all exceed the round's recorded minimum). The
-/// resume therefore rebuilds the state before exactly that round from
-/// the run's placement log ([`EngineState::restore`]) and re-runs only
-/// from there; when no round diverges the previous outcome is returned
-/// as-is.
-///
-/// The log (per-round records, marks, outcome), the priority rank and
-/// the CSR instance mirror are shared (`Arc`) between the runs of a
-/// chain, so the no-divergence fast path costs `O(1)` and the instance
-/// is flattened exactly once per chain.
-///
-/// The run is **bound to its instance and priority rank at
-/// construction** — a resume always replays against exactly the inputs
-/// the log was recorded under, so there is no way to mix the records of
-/// one instance with the tasks of another.
-#[derive(Debug, Clone)]
-pub struct CheckpointedRun<'a> {
-    inst: &'a DagInstance,
-    csr: Arc<CsrDag>,
-    cap: f64,
-    log: Arc<RunLog>,
-    /// Rounds actually executed to produce this run (`n` for a cold run,
-    /// `0` when a resume reused the previous outcome wholesale).
-    replayed: usize,
-}
-
-impl<'a> CheckpointedRun<'a> {
-    /// A from-scratch run with memory cap `cap`, recording the placement
-    /// log for later warm resumes. One-shot wrapper over
-    /// [`CheckpointedRun::cold_in`] (fresh CSR mirror and workspace).
-    pub fn cold(
-        inst: &'a DagInstance,
-        rank: Arc<PriorityRank>,
-        cap: f64,
-    ) -> Result<Self, ModelError> {
-        let mut ws = KernelWorkspace::with_capacity(inst.n(), inst.m());
-        Self::cold_in(inst, Arc::new(inst.csr()), rank, cap, &mut ws)
-    }
-
-    /// [`CheckpointedRun::cold`] with an explicit shared CSR mirror and
-    /// reusable workspace — the sweep-engine path, where one chain runs
-    /// many caps over one instance.
-    pub fn cold_in(
-        inst: &'a DagInstance,
-        csr: Arc<CsrDag>,
-        rank: Arc<PriorityRank>,
-        cap: f64,
-        ws: &mut KernelWorkspace,
-    ) -> Result<Self, ModelError> {
-        assert_eq!(csr.n(), inst.n(), "CSR mirror must match the instance");
-        ws.state.init(&csr, inst.m(), &rank);
-        let mut admission = RecordingCapAdmission::new(vec![0.0; inst.m()], cap);
-        let (log, replayed) =
-            RunLog::record(&csr, inst.m(), rank, &mut admission, Rounds::default(), ws)?;
-        Ok(CheckpointedRun {
-            inst,
-            csr,
-            cap,
-            log: Arc::new(log),
-            replayed,
-        })
-    }
-
-    /// Warm-starts a run at `new_cap` against the instance and rank this
-    /// run was built from, reusing the longest prefix whose admissibility
-    /// verdicts are unchanged. One-shot wrapper over
-    /// [`CheckpointedRun::resume_in`] (fresh workspace).
-    pub fn resume(&self, new_cap: f64) -> Result<Self, ModelError> {
-        let mut ws = KernelWorkspace::new();
-        self.resume_in(new_cap, &mut ws)
-    }
-
-    /// [`CheckpointedRun::resume`] with an explicit reusable workspace.
-    /// Requires `new_cap ≥ cap` for the warm path (the verdict
-    /// monotonicity the divergence test relies on); a smaller cap falls
-    /// back to a cold run. The produced schedule is bit-identical to a
-    /// cold run at `new_cap`.
-    pub fn resume_in(&self, new_cap: f64, ws: &mut KernelWorkspace) -> Result<Self, ModelError> {
-        let (m, rank) = (self.inst.m(), &self.log.rank);
-        if new_cap < self.cap {
-            return Self::cold_in(
-                self.inst,
-                Arc::clone(&self.csr),
-                Arc::clone(rank),
-                new_cap,
-                ws,
-            );
-        }
-        // First round in which a previously rejected probe would now be
-        // admitted; every earlier round replays verbatim.
-        let Some(divergence) = self
-            .log
-            .rounds
-            .reject_min
-            .iter()
-            // The ∞ sentinel means "no rejection that round"; it must not
-            // hit the tolerant comparison (whose slack is infinite there).
-            .position(|&v| v.is_finite() && approx_le(v, new_cap))
-        else {
-            return Ok(CheckpointedRun {
-                cap: new_cap,
-                replayed: 0,
-                ..self.clone()
-            });
-        };
-        ws.state.restore(&self.csr, m, rank, &self.log, divergence);
-        let memsize = self.log.memsize_before(&self.csr, m, divergence);
-        let mut admission = RecordingCapAdmission::new(memsize, new_cap);
-        let rounds = self.log.rounds.prefix(divergence);
-        let (log, replayed) =
-            RunLog::record(&self.csr, m, Arc::clone(rank), &mut admission, rounds, ws)?;
-        Ok(CheckpointedRun {
-            cap: new_cap,
-            log: Arc::new(log),
-            replayed,
-            ..self.clone()
-        })
-    }
-
-    /// The shared CSR mirror of the bound instance.
-    #[inline]
-    pub fn csr(&self) -> &Arc<CsrDag> {
-        &self.csr
-    }
-
-    /// The memory cap this run enforced.
-    #[inline]
-    pub fn cap(&self) -> f64 {
-        self.cap
-    }
-
-    /// The produced schedule and Lemma-4 bookkeeping.
-    #[inline]
-    pub fn outcome(&self) -> &KernelOutcome {
-        &self.log.outcome
-    }
-
-    /// Rounds actually executed to produce this run: `n` for a cold run,
-    /// `0` when a resume found no diverging round, and exactly
-    /// `n − divergence` otherwise (the resume restarts at the first
-    /// diverging round itself). Exposed for tests and sweep telemetry.
-    #[inline]
-    pub fn replayed_rounds(&self) -> usize {
-        self.replayed
-    }
-}
-
-/// Admission policy of a replanning session, fixed when the session
-/// opens: `None` caps nothing (Graham list scheduling), `Some(cap)`
-/// enforces the paper's memory cap through the recording wrapper so the
-/// per-round rejection thresholds keep feeding the first-affected-round
-/// analysis. A concrete enum (not a generic) so [`ReplanRun`] is a
-/// nameable type the engine layer can store.
-#[derive(Debug)]
-enum ReplanAdmission {
-    Open(Unrestricted),
-    Capped(RecordingCapAdmission),
-}
-
-impl ReplanAdmission {
-    /// Admission state for a session with the given fixed cap, starting
-    /// from the committed memory `memsize` (ignored for open sessions).
-    fn new(cap: Option<f64>, memsize: impl FnOnce() -> Vec<f64>) -> Self {
-        match cap {
-            None => ReplanAdmission::Open(Unrestricted),
-            Some(c) => ReplanAdmission::Capped(RecordingCapAdmission::new(memsize(), c)),
-        }
-    }
-}
-
-impl RecordingAdmission for ReplanAdmission {
-    const FRONTIER: bool = true;
-
-    /// Open sessions reject nothing, so every round records ∞.
-    fn take_round_min(&self) -> f64 {
-        match self {
-            ReplanAdmission::Open(_) => f64::INFINITY,
-            ReplanAdmission::Capped(a) => a.take_round_min(),
-        }
-    }
-}
-
-impl Admission for ReplanAdmission {
-    #[inline]
-    fn admits(&self, q: usize, s: f64) -> bool {
-        match self {
-            ReplanAdmission::Open(a) => a.admits(q, s),
-            ReplanAdmission::Capped(a) => a.admits(q, s),
-        }
-    }
-
-    #[inline]
-    fn commit(&mut self, q: usize, s: f64) {
-        match self {
-            ReplanAdmission::Open(a) => a.commit(q, s),
-            ReplanAdmission::Capped(a) => a.commit(q, s),
-        }
-    }
-
-    fn rejection_error(&self, s: f64) -> ModelError {
-        match self {
-            ReplanAdmission::Open(a) => a.rejection_error(s),
-            ReplanAdmission::Capped(a) => a.rejection_error(s),
-        }
-    }
-}
-
 /// Direction of a re-estimated storage requirement relative to the
 /// value the previous run was computed under. The kernel only sees the
 /// *mutated* CSR, so the engine layer (which reads the old value before
@@ -1881,12 +1676,13 @@ pub enum CostShift {
     Raised,
 }
 
-/// A kernel-level description of one already-applied instance mutation,
-/// built by the engine layer from a [`CsrDelta`](sws_dag::CsrDelta)
-/// while applying it. Completions are absent by design: they mutate
-/// neither the instance nor the schedule, so the engine answers them
-/// from the cached run without entering the kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A kernel-level description of what changed since a recorded run:
+/// either an already-applied instance mutation, built by the engine
+/// layer from a [`CsrDelta`](sws_dag::CsrDelta) while applying it, or a
+/// new memory cap over the same instance. Completions are absent by
+/// design: they mutate neither the instance nor the schedule, so the
+/// engine answers them from the cached run without entering the kernel.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReplanDelta {
     /// Task `n - 1` of the (mutated) instance is a new arrival.
     Arrival,
@@ -1899,18 +1695,30 @@ pub enum ReplanDelta {
         /// How the storage requirement moved.
         s_shift: CostShift,
     },
+    /// The same instance under a new memory cap — one step of a
+    /// ∆-sweep, which raises `∆·LB` along an ascending grid.
+    Cap(f64),
 }
 
-/// A completed kernel run that can be **warm-resumed across instance
-/// deltas** — the generalization of [`CheckpointedRun`] from "same
-/// instance, new cap" to arrivals and cost re-estimates against a
-/// mutated [`CsrDag`].
+/// A completed kernel run that can be **warm-resumed across a
+/// [`ReplanDelta`]**: a raised memory cap (the incremental ∆-sweeps),
+/// or an arrival or cost re-estimate against a mutated [`CsrDag`] (the
+/// replanning sessions).
 ///
-/// It keeps the same placement log as [`CheckpointedRun`], whose
-/// per-round records include the **placement frontier**: which task
-/// each round placed, at what start key, and what the minimum processor
-/// load was when the round began. From those records the first round a
-/// delta can affect is computable without re-running anything:
+/// Its placement log records, per round, which task the round placed
+/// and the smallest admissibility value it rejected; open runs also
+/// record the **placement frontier**: the winner's start key and the
+/// minimum processor load when the round began. From those records the
+/// first round a delta can affect is computable without re-running
+/// anything:
+///
+/// * A **raised cap** keeps every accepted probe accepted, and
+///   [`sws_model::numeric::approx_le`] is monotone in both arguments
+///   over non-negative operands, so a rejected probe flips only once
+///   the new cap admits its value — never before the first round whose
+///   smallest rejected value the new cap admits, where the replay
+///   starts. A lowered cap, or a cap on a run recorded open (no
+///   rejection thresholds), runs cold.
 ///
 /// * A task's costs are invisible to the kernel before its *ready
 ///   round* `r₀` (the round after its last predecessor placed): a task
@@ -1944,14 +1752,18 @@ pub enum ReplanDelta {
 /// replan whose rank disagrees (or re-ranks the arrival anywhere but
 /// last) falls back to a cold run against the mutated instance. Either
 /// way the produced schedule is **bit-identical** to a from-scratch
-/// solve of the mutated instance, which the differential suite
-/// enforces.
+/// solve of the mutated instance at the new cap, which the
+/// differential suites enforce.
+///
+/// The log (with the rank and the outcome) is shared (`Arc`) between
+/// the runs of a chain, so a delta that changes nothing copies no
+/// records.
 #[derive(Debug, Clone)]
 pub struct ReplanRun {
     m: usize,
-    /// Fixed session cap: `None` = unrestricted (Graham), `Some` = the
-    /// paper's memory cap. Sessions never change it — machines don't
-    /// grow RAM mid-run; cap *sweeps* are [`CheckpointedRun`]'s job.
+    /// The enforced cap: `None` = unrestricted (Graham), `Some` = the
+    /// paper's memory cap. Only a [`ReplanDelta::Cap`] changes it (the
+    /// ∆-sweeps); instance deltas keep it.
     cap: Option<f64>,
     log: Arc<RunLog>,
     /// Rounds actually executed to produce this run.
@@ -1961,7 +1773,8 @@ pub struct ReplanRun {
 /// Where a replan restarts, as decided from the records alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReplanStart {
-    /// The rank no longer matches the records: run cold.
+    /// The records cannot seed a replay (the rank no longer matches,
+    /// or the cap was lowered or newly imposed): run cold.
     Cold,
     /// The schedule provably cannot change.
     Reuse,
@@ -1970,8 +1783,8 @@ enum ReplanStart {
 }
 
 impl ReplanRun {
-    /// A from-scratch run over `csr` on `m` processors under the
-    /// session's fixed `cap`, recording the replay bookkeeping.
+    /// A from-scratch run over `csr` on `m` processors under `cap`,
+    /// recording the replay bookkeeping.
     pub fn cold(
         csr: &CsrDag,
         m: usize,
@@ -1994,7 +1807,9 @@ impl ReplanRun {
     /// only from the first round `delta` can affect (see the type
     /// docs). `rank` is the priority rank of the mutated instance; when
     /// it disagrees with the recorded rank the run falls back to
-    /// [`ReplanRun::cold`]. Bit-identical to a cold run either way.
+    /// [`ReplanRun::cold`]. The result enforces the new cap of a
+    /// [`ReplanDelta::Cap`] and this run's cap otherwise, and is
+    /// bit-identical to a cold run under it either way.
     pub fn replan(
         &self,
         csr: &CsrDag,
@@ -2002,10 +1817,17 @@ impl ReplanRun {
         delta: ReplanDelta,
         ws: &mut KernelWorkspace,
     ) -> Result<Self, ModelError> {
+        let cap = match delta {
+            ReplanDelta::Cap(cap) => Some(cap),
+            _ => self.cap,
+        };
         match self.first_affected(csr, &rank, delta) {
-            ReplanStart::Cold => Self::cold(csr, self.m, rank, self.cap, ws),
-            ReplanStart::Reuse => Ok(self.reuse()),
-            ReplanStart::From(first) => self.resume_from(csr, rank, first, ws),
+            ReplanStart::Cold => Self::cold(csr, self.m, rank, cap, ws),
+            ReplanStart::Reuse => Ok(ReplanRun {
+                cap,
+                ..self.reuse()
+            }),
+            ReplanStart::From(first) => self.resume_from(csr, rank, cap, first, ws),
         }
     }
 
@@ -2075,6 +1897,25 @@ impl ReplanRun {
                     ReplanStart::From(first)
                 }
             }
+            ReplanDelta::Cap(new_cap) => {
+                assert_eq!(n, n_old, "cap replan changed the task count");
+                // A lowered cap flips verdicts admitted→rejected in any
+                // round, and an open run recorded no rejection
+                // thresholds to compare against.
+                let raised = self.cap.is_some_and(|cap| new_cap >= cap);
+                if !raised || !self.rank_matches(rank) {
+                    return ReplanStart::Cold;
+                }
+                self.log
+                    .rounds
+                    .reject_min
+                    .iter()
+                    // The ∞ sentinel means "no rejection that round"; it
+                    // must not hit the tolerant comparison (whose slack
+                    // is infinite there).
+                    .position(|&v| v.is_finite() && approx_le(v, new_cap))
+                    .map_or(ReplanStart::Reuse, ReplanStart::From)
+            }
         }
     }
 
@@ -2127,28 +1968,30 @@ impl ReplanRun {
     }
 
     /// Restores the state before round `first` over the mutated `csr`
-    /// and replays to completion.
+    /// and replays to completion under `cap`.
     fn resume_from(
         &self,
         csr: &CsrDag,
         rank: Arc<PriorityRank>,
+        cap: Option<f64>,
         first: usize,
         ws: &mut KernelWorkspace,
     ) -> Result<Self, ModelError> {
         ws.state.restore(csr, self.m, &rank, &self.log, first);
         let mut admission =
-            ReplanAdmission::new(self.cap, || self.log.memsize_before(csr, self.m, first));
+            ReplanAdmission::new(cap, || self.log.memsize_before(csr, self.m, first));
         // The records before `first` are identical by construction.
         let rounds = self.log.rounds.prefix(first);
         let (log, replayed) = RunLog::record(csr, self.m, rank, &mut admission, rounds, ws)?;
         Ok(ReplanRun {
+            m: self.m,
+            cap,
             log: Arc::new(log),
             replayed,
-            ..self.clone()
         })
     }
 
-    /// The session's fixed memory cap (`None` = unrestricted).
+    /// The memory cap this run enforced (`None` = unrestricted).
     #[inline]
     pub fn cap(&self) -> Option<f64> {
         self.cap
@@ -2231,12 +2074,17 @@ mod tests {
         h.set_load(1, 2.0);
         h.set_load(2, 3.0);
         h.set_load(3, 4.0);
-        let (q, skipped) = h.probe(|q| q >= 2).unwrap();
-        assert_eq!(q, 2);
+        let (mut frontier, mut skipped) = (Vec::new(), Vec::new());
+        let q = h.probe_with(|q| q >= 2, &mut frontier, &mut skipped);
+        assert_eq!(q, Some(2));
         assert_eq!(skipped, vec![0, 1]);
-        assert!(h.probe(|_| false).is_none());
-        let (q, skipped) = h.probe(|_| true).unwrap();
-        assert_eq!(q, 0);
+        skipped.clear();
+        assert!(h
+            .probe_with(|_| false, &mut frontier, &mut skipped)
+            .is_none());
+        skipped.clear();
+        let q = h.probe_with(|_| true, &mut frontier, &mut skipped);
+        assert_eq!(q, Some(0));
         assert!(skipped.is_empty());
     }
 
@@ -2383,13 +2231,36 @@ mod tests {
         (inst, lb)
     }
 
+    /// A capped cold run through a fresh workspace.
+    fn capped_cold(csr: &CsrDag, m: usize, rank: &Arc<PriorityRank>, cap: f64) -> ReplanRun {
+        let mut ws = KernelWorkspace::new();
+        ReplanRun::cold(csr, m, Arc::clone(rank), Some(cap), &mut ws).unwrap()
+    }
+
+    /// `run` warm-resumed at `cap` over its own instance and rank.
+    fn raise_cap(run: &ReplanRun, csr: &CsrDag, cap: f64, ws: &mut KernelWorkspace) -> ReplanRun {
+        run.replan(csr, Arc::clone(run.rank()), ReplanDelta::Cap(cap), ws)
+            .unwrap()
+    }
+
+    /// The first round whose smallest rejected value `cap` admits: a cap
+    /// resume restarts exactly there.
+    fn cap_divergence(run: &ReplanRun, cap: f64) -> Option<usize> {
+        run.log
+            .rounds
+            .reject_min
+            .iter()
+            .position(|&v| v.is_finite() && approx_le(v, cap))
+    }
+
     #[test]
     fn checkpointed_cold_run_matches_the_plain_kernel() {
         let (inst, lb) = capped_instance();
+        let csr = inst.csr();
         let rank = Arc::new(index_priority(inst.n()));
         for &delta in &[2.25, 3.0, 8.0] {
             let cap = delta * lb;
-            let run = CheckpointedRun::cold(&inst, Arc::clone(&rank), cap).unwrap();
+            let run = capped_cold(&csr, inst.m(), &rank, cap);
             let mut adm = MemoryCapAdmission::new(inst.m(), cap);
             let direct = event_driven_schedule(&inst, &rank, &mut adm).unwrap();
             assert_eq!(run.outcome().schedule, direct.schedule, "∆={delta}");
@@ -2401,26 +2272,21 @@ mod tests {
     #[test]
     fn resume_at_a_larger_cap_is_bit_identical_to_a_cold_run() {
         let (inst, lb) = capped_instance();
+        let (csr, m) = (inst.csr(), inst.m());
         let rank = Arc::new(index_priority(inst.n()));
-        let mut chain = CheckpointedRun::cold(&inst, Arc::clone(&rank), 2.25 * lb).unwrap();
+        let mut chain = capped_cold(&csr, m, &rank, 2.25 * lb);
         for &delta in &[2.5, 2.75, 3.5, 6.0, 100.0] {
             let cap = delta * lb;
-            // The first round whose smallest rejected value the new cap
-            // admits: the resume restarts exactly there.
-            let divergence = chain
-                .log
-                .rounds
-                .reject_min
-                .iter()
-                .position(|&v| v.is_finite() && approx_le(v, cap));
-            chain = chain.resume(cap).unwrap();
-            let cold = CheckpointedRun::cold(&inst, Arc::clone(&rank), cap).unwrap();
+            let divergence = cap_divergence(&chain, cap);
+            chain = raise_cap(&chain, &csr, cap, &mut KernelWorkspace::new());
+            let cold = capped_cold(&csr, m, &rank, cap);
             assert_eq!(
                 chain.outcome().schedule,
                 cold.outcome().schedule,
                 "∆={delta}"
             );
             assert_eq!(chain.outcome().marked, cold.outcome().marked, "∆={delta}");
+            assert_eq!(chain.cap(), Some(cap), "∆={delta}");
             let expected = divergence.map_or(0, |d| inst.n() - d);
             assert_eq!(chain.replayed_rounds(), expected, "∆={delta}");
         }
@@ -2429,21 +2295,15 @@ mod tests {
     #[test]
     fn resume_through_a_shared_workspace_matches_fresh_workspaces() {
         let (inst, lb) = capped_instance();
+        let (csr, m) = (inst.csr(), inst.m());
         let rank = Arc::new(index_priority(inst.n()));
-        let csr = Arc::new(inst.csr());
         let mut ws = KernelWorkspace::new();
-        let mut chain = CheckpointedRun::cold_in(
-            &inst,
-            Arc::clone(&csr),
-            Arc::clone(&rank),
-            2.25 * lb,
-            &mut ws,
-        )
-        .unwrap();
+        let mut chain =
+            ReplanRun::cold(&csr, m, Arc::clone(&rank), Some(2.25 * lb), &mut ws).unwrap();
         for &delta in &[2.5, 3.5, 6.0] {
             let cap = delta * lb;
-            chain = chain.resume_in(cap, &mut ws).unwrap();
-            let cold = CheckpointedRun::cold(&inst, Arc::clone(&rank), cap).unwrap();
+            chain = raise_cap(&chain, &csr, cap, &mut ws);
+            let cold = capped_cold(&csr, m, &rank, cap);
             assert_eq!(
                 chain.outcome().schedule,
                 cold.outcome().schedule,
@@ -2456,24 +2316,50 @@ mod tests {
     #[test]
     fn resume_without_divergence_replays_nothing() {
         let (inst, lb) = capped_instance();
+        let (csr, m) = (inst.csr(), inst.m());
         let rank = Arc::new(index_priority(inst.n()));
         // A huge cap never rejects, so any still-larger cap diverges
         // nowhere and the resume reuses the previous outcome wholesale.
-        let run = CheckpointedRun::cold(&inst, rank, 1e6 * lb).unwrap();
-        let next = run.resume(2e6 * lb).unwrap();
+        let run = capped_cold(&csr, m, &rank, 1e6 * lb);
+        let next = raise_cap(&run, &csr, 2e6 * lb, &mut KernelWorkspace::new());
         assert_eq!(next.replayed_rounds(), 0);
         assert_eq!(next.outcome().schedule, run.outcome().schedule);
+        assert_eq!(next.cap(), Some(2e6 * lb));
     }
 
     #[test]
     fn resume_at_a_smaller_cap_falls_back_to_a_cold_run() {
         let (inst, lb) = capped_instance();
+        let (csr, m) = (inst.csr(), inst.m());
         let rank = Arc::new(index_priority(inst.n()));
-        let run = CheckpointedRun::cold(&inst, Arc::clone(&rank), 4.0 * lb).unwrap();
-        let back = run.resume(2.25 * lb).unwrap();
-        let cold = CheckpointedRun::cold(&inst, rank, 2.25 * lb).unwrap();
+        let run = capped_cold(&csr, m, &rank, 4.0 * lb);
+        let back = raise_cap(&run, &csr, 2.25 * lb, &mut KernelWorkspace::new());
+        let cold = capped_cold(&csr, m, &rank, 2.25 * lb);
         assert_eq!(back.outcome().schedule, cold.outcome().schedule);
         assert_eq!(back.replayed_rounds(), inst.n());
+        assert_eq!(back.cap(), Some(2.25 * lb));
+    }
+
+    #[test]
+    fn a_cap_on_an_open_run_falls_back_to_a_cold_capped_run() {
+        let m = 4;
+        let csr = tie_staged(7, 90, m).csr();
+        let n = csr.n();
+        let rank = Arc::new(index_priority(n));
+        let cap = memory_cap(&csr, m, 2.0);
+        let mut ws = KernelWorkspace::new();
+        let open = ReplanRun::cold(&csr, m, Arc::clone(&rank), None, &mut ws).unwrap();
+        assert_eq!(
+            open.first_affected(&csr, &rank, ReplanDelta::Cap(cap)),
+            ReplanStart::Cold
+        );
+        let capped = raise_cap(&open, &csr, cap, &mut ws);
+        let cold = capped_cold(&csr, m, &rank, cap);
+        assert_same_outcome(capped.outcome(), cold.outcome(), "cap on an open run");
+        assert_eq!(capped.replayed_rounds(), n);
+        assert_eq!(capped.cap(), Some(cap));
+        // The cap binds on this instance: the capped run rejects probes.
+        assert!(cold.log.rounds.reject_min.iter().any(|v| v.is_finite()));
     }
 
     // --- ReplanRun: warm-starting across instance deltas -------------
@@ -2929,10 +2815,10 @@ mod tests {
             );
         }
         let memsize = log.memsize_before(csr, m, d);
-        if let ReplanAdmission::Capped(a) = &fresh_adm {
+        if let ReplanAdmission::Capped { inner, .. } = &fresh_adm {
             assert_eq!(
                 bits(&memsize),
-                bits(&a.inner.memsize),
+                bits(&inner.memsize),
                 "memory before round {d}"
             );
         }
@@ -3032,23 +2918,17 @@ mod tests {
     #[test]
     fn resume_replays_exactly_from_the_divergence_round() {
         let m = 4;
-        let inst = DagInstance::new(tie_staged(3, 120, m), m).unwrap();
-        let csr = inst.csr();
+        let csr = tie_staged(3, 120, m).csr();
         let n = csr.n();
         let rank = Arc::new(index_priority(n));
         let lb = memory_cap(&csr, m, 1.0);
-        let mut chain = CheckpointedRun::cold(&inst, Arc::clone(&rank), 2.0 * lb).unwrap();
+        let mut chain = capped_cold(&csr, m, &rank, 2.0 * lb);
         let mut partial = 0;
         for k in 1..=24 {
             let cap = (2.0 + k as f64 / 8.0) * lb;
-            let divergence = chain
-                .log
-                .rounds
-                .reject_min
-                .iter()
-                .position(|&v| v.is_finite() && approx_le(v, cap));
-            chain = chain.resume(cap).unwrap();
-            let cold = CheckpointedRun::cold(&inst, Arc::clone(&rank), cap).unwrap();
+            let divergence = cap_divergence(&chain, cap);
+            chain = raise_cap(&chain, &csr, cap, &mut KernelWorkspace::new());
+            let cold = capped_cold(&csr, m, &rank, cap);
             assert_same_outcome(chain.outcome(), cold.outcome(), &format!("cap {cap}"));
             let expected = divergence.map_or(0, |d| n - d);
             assert_eq!(chain.replayed_rounds(), expected, "cap {cap}");
@@ -3060,8 +2940,7 @@ mod tests {
     #[test]
     fn resumes_through_a_stale_workspace_match_cold_runs() {
         let m = 4;
-        let inst = DagInstance::new(tie_staged(5, 90, m), m).unwrap();
-        let csr = Arc::new(inst.csr());
+        let csr = tie_staged(5, 90, m).csr();
         let n = csr.n();
         let rank = Arc::new(index_priority(n));
         let lb = memory_cap(&csr, m, 1.0);
@@ -3069,17 +2948,9 @@ mod tests {
         let smaller = DagInstance::new(chain(5), 2).unwrap();
         let mut cold_ws = KernelWorkspace::new();
         let mut ws = KernelWorkspace::new();
-        let base = CheckpointedRun::cold_in(
-            &inst,
-            Arc::clone(&csr),
-            Arc::clone(&rank),
-            2.0 * lb,
-            &mut ws,
-        )
-        .unwrap();
         let session = ReplanRun::cold(&csr, m, Arc::clone(&rank), Some(2.0 * lb), &mut ws).unwrap();
         let mid = session.log.rounds.placed[n / 2];
-        let mut recosted = (*csr).clone();
+        let mut recosted = csr.clone();
         recosted
             .apply_delta(&sws_dag::CsrDelta::Recost {
                 task: mid,
@@ -3093,7 +2964,7 @@ mod tests {
             s_shift: CostShift::Unchanged,
         };
         let cap = 2.5 * lb;
-        let cold = CheckpointedRun::cold(&inst, Arc::clone(&rank), cap).unwrap();
+        let cold = capped_cold(&csr, m, &rank, cap);
         let cold_replan = ReplanRun::cold(
             &recosted,
             m,
@@ -3132,7 +3003,7 @@ mod tests {
                 }
             };
             leave_behind(&mut ws);
-            let warm = base.resume_in(cap, &mut ws).unwrap();
+            let warm = raise_cap(&session, &csr, cap, &mut ws);
             assert!(
                 warm.replayed_rounds() > 0 && warm.replayed_rounds() < n,
                 "the cap resume must restore mid-run"

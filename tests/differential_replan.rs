@@ -10,8 +10,8 @@
 //! sampled predecessors, in-order completions, cost re-estimates,
 //! including the adversarial signed-zero and rank-saturating draws),
 //! replays the resulting schedules through the simulator as an
-//! independent semantic oracle, and pins down that the pre-existing
-//! cap-resume machinery ([`CheckpointedRun`]) is unchanged.
+//! independent semantic oracle, and pins down that the cap-raise warm
+//! start the ∆-sweeps use ([`ReplanDelta::Cap`]) stays bit-identical.
 
 use std::sync::Arc;
 
@@ -19,7 +19,7 @@ use proptest::prelude::*;
 
 use sws_core::replan::{solve_from_scratch, ReplanEngine};
 use sws_dag::{CsrDag, CsrDelta, DagInstance};
-use sws_listsched::kernel::{CheckpointedRun, KernelWorkspace};
+use sws_listsched::kernel::{KernelWorkspace, ReplanDelta, ReplanRun};
 use sws_listsched::priority::index_priority;
 use sws_model::error::ModelError;
 use sws_model::solve::Solution;
@@ -271,10 +271,10 @@ fn completions_answer_from_cache_and_stay_bit_identical() {
     assert_eq!(engine.replayed_rounds(), 0);
 }
 
-/// Regression pin for the pre-existing cap-resume machinery: a
-/// [`CheckpointedRun`] warm-resumed through increasing caps stays
-/// bit-identical to cold runs at each cap — the delta-replan layer must
-/// not have disturbed it.
+/// Regression pin for the cap-resume path of the ∆-sweeps: a
+/// [`ReplanRun`] warm-resumed through increasing caps
+/// ([`ReplanDelta::Cap`]) stays bit-identical to cold runs at each cap —
+/// sharing the run type with the instance deltas must not disturb it.
 #[test]
 fn checkpointed_cap_resume_behaviour_is_unchanged() {
     let mut rng = seeded_rng(derive_seed(DIFF_SEED, 3000));
@@ -290,12 +290,17 @@ fn checkpointed_cap_resume_behaviour_is_unchanged() {
         .map(|i| inst.tasks().get(i).s)
         .fold(0.0, f64::max);
     let lb = s_sum / 4.0 + s_max;
+    let (csr, m) = (inst.csr(), inst.m());
     let rank = Arc::new(index_priority(inst.n()));
-    let mut chain = CheckpointedRun::cold(&inst, Arc::clone(&rank), lb).unwrap();
+    let mut ws = KernelWorkspace::new();
+    let mut chain = ReplanRun::cold(&csr, m, Arc::clone(&rank), Some(lb), &mut ws).unwrap();
     for &factor in &[1.25, 1.5, 3.0, 50.0] {
         let cap = factor * lb;
-        chain = chain.resume(cap).unwrap();
-        let cold = CheckpointedRun::cold(&inst, Arc::clone(&rank), cap).unwrap();
+        chain = chain
+            .replan(&csr, Arc::clone(&rank), ReplanDelta::Cap(cap), &mut ws)
+            .unwrap();
+        let mut cold_ws = KernelWorkspace::new();
+        let cold = ReplanRun::cold(&csr, m, Arc::clone(&rank), Some(cap), &mut cold_ws).unwrap();
         assert_eq!(
             chain.outcome().schedule,
             cold.outcome().schedule,
