@@ -4,7 +4,10 @@
 //! Groups:
 //!
 //! * `rls_kernel_vs_naive` — RLS∆ on layered DAGs, growing `n` at `m = 8`
-//!   plus the acceptance point `n = 10 000, m = 32`. Since the
+//!   plus the acceptance point `n = 10 000, m = 32`, and one capped
+//!   storage-heavy staged row (`staged_2800x16`, ∆ = 2.01) whose stages
+//!   become ready at one join time each — the kernel's wave-promotion
+//!   path, which no layered row reaches. Since the
 //!   allocation-free rework the `kernel` rows measure the **CSR +
 //!   workspace-reuse serving path** (`RlsEngine::run_detached`: CSR
 //!   mirror, priority rank and kernel workspace built once, every
@@ -44,7 +47,7 @@ use sws_dag::DagInstance;
 use sws_listsched::kernel::ProcHeap;
 use sws_listsched::priority::hlf_priority;
 use sws_listsched::{dag_list_schedule_csr, naive as listsched_naive, KernelWorkspace};
-use sws_workloads::dagsets::{dag_workload, DagFamily};
+use sws_workloads::dagsets::{dag_workload, storage_heavy_staged, DagFamily};
 use sws_workloads::rng::seeded_rng;
 use sws_workloads::TaskDistribution;
 
@@ -101,6 +104,17 @@ fn bench_rls(c: &mut Criterion) {
             b.iter(|| black_box(naive::rls(black_box(inst), &cfg).unwrap()))
         });
     }
+
+    // Stage-synchronous waves under a binding cap (kernel row only: the
+    // point is the wave path, which the layered rows never take).
+    let staged = storage_heavy_staged(2_800, 16, &mut seeded_rng(0x57A6));
+    group.throughput(Throughput::Elements(staged.n() as u64));
+    let mut engine = RlsEngine::new(&staged, PriorityOrder::Index);
+    group.bench_with_input(
+        BenchmarkId::new("kernel", "staged_2800x16"),
+        &staged,
+        |b, _inst| b.iter(|| black_box(engine.run_detached(2.01).unwrap())),
+    );
 
     group.finish();
 }

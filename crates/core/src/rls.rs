@@ -25,11 +25,14 @@
 //!
 //! Since the event-driven rework, [`rls`] runs on the shared scheduling
 //! kernel (`sws_listsched::kernel`) with the memory restriction supplied
-//! as an admissibility predicate — `O((n + E)·log n + n·log m)` as long
-//! as memory rejections on the least-loaded processor stay rare (they
-//! are, on every measured workload; the kernel's module docs state the
-//! worst case) instead of the original `O(n²·m)` scan, which survives
-//! as the differential oracle [`naive::rls`].
+//! as an admissibility predicate — `O((n + E)·log n + n·log m)` while
+//! the least-loaded processor admits the best-ranked ready task,
+//! instead of the original `O(n²·m)` scan, which survives as the
+//! differential oracle [`naive::rls`]. Memory rejections on the
+//! least-loaded processor are not rare: on storage-heavy staged DAGs
+//! they hit most capped rounds, and each such round probes further
+//! processors and tasks (the kernel's module docs state the worst case
+//! and the measured round shapes).
 
 use sws_dag::{CsrDag, DagInstance, TaskGraph};
 use sws_listsched::kernel::{

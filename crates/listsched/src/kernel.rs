@@ -11,18 +11,25 @@
 //! `O((n + E)·log n + n·log m)` when the admissibility predicate accepts
 //! the least loaded processor (always true for plain Graham, and true
 //! for RLS∆ except while a memory-saturated processor sits at the load
-//! minimum — rounds where that happens re-probe the rejected runnable
-//! prefix, degrading towards the naive cost in the worst case but
-//! staying negligible on every measured workload; see
-//! docs/PERFORMANCE.md):
+//! minimum). Rounds where it rejects probe the rejected runnable prefix
+//! until a candidate reaches the round's lower bound on start keys,
+//! degrading towards the naive cost in the worst case. They are not
+//! rare: on the capped storage-heavy staged fronts at m = 16 they are
+//! 67–78% of rounds (∆ = 3 down to 2.01), at about four admission
+//! verdicts per round; see docs/PERFORMANCE.md. The structures:
 //!
 //! * a **ready-task structure** fed by predecessor-completion events
 //!   (tasks enter when their last predecessor is scheduled) split into a
-//!   rank-slot *runnable* bitmap (ready time ≤ current minimum load, so
-//!   the earliest start is the minimum load itself and only the
-//!   quantized priority slot orders the task — one bit per task in a
-//!   three-level hierarchical bitmap) and a ready-time keyed 4-ary
-//!   *pending* heap;
+//!   rank-slot *runnable* bitmap and a ready-time keyed 4-ary *pending*
+//!   heap. A task is runnable once its ready time is (approximately) at
+//!   or below the **threshold** `max(wave floor, minimum load)`, a lower
+//!   bound on every start key of the round, so among runnable tasks only
+//!   the quantized priority slot orders them — one bit per task in a
+//!   three-level hierarchical bitmap. When nothing is runnable (on
+//!   stage-synchronous DAGs a whole stage waits on one join), **wave
+//!   promotion** raises the floor to the earliest pending ready time and
+//!   moves the tasks tying with it to the bitmap at once, so the stage
+//!   is settled by rank instead of popped and re-probed every round;
 //! * an **indexed 4-ary min-heap over processor loads** ([`ProcHeap`]) whose
 //!   ordered traversal ([`ProcHeap::probe_with`]) finds the least loaded
 //!   processor satisfying a pluggable **admissibility predicate**
@@ -121,12 +128,6 @@ fn rank_task(rank: u32, task: u32) -> u64 {
 #[inline]
 fn task_of(pack: u64) -> u32 {
     pack as u32
-}
-
-/// Rank of a [`rank_task`] pack.
-#[inline]
-fn rank_of(pack: u64) -> u32 {
-    (pack >> 32) as u32
 }
 
 /// Indexed **4-ary** min-heap over processor loads, ordered by
@@ -332,7 +333,7 @@ impl ProcHeap {
     /// vectors per probe.
     ///
     /// The traversal expands the heap lazily, so accepting the first
-    /// probe — the overwhelmingly common case — costs `O(1)`. The visit
+    /// probe — every uncapped probe — costs `O(1)`. The visit
     /// order depends only on the key order, not the heap shape, so the
     /// 4-ary layout reports the same skipped sets as the old binary one.
     pub fn probe_with<F: FnMut(usize) -> bool>(
@@ -343,11 +344,12 @@ impl ProcHeap {
     ) -> Option<usize> {
         // Frontier of heap positions whose parents were all visited; the
         // next processor in sorted order is always the frontier minimum.
-        // Linear scans are fine: the frontier holds ≤ 4·skips + 1 entries
-        // and skips are zero in the unrestricted use and rare in the
-        // RLS∆ use (a skip needs a memory-saturated processor below the
-        // chosen one's load; unlike marking, skips can recur across
-        // rounds, but each costs only the probe that discovers it).
+        // Linear scans are fine: the frontier holds ≤ 4·skips + 1 entries,
+        // and skips are zero in the unrestricted use. In the RLS∆ use a
+        // skip needs a memory-saturated processor below the chosen one's
+        // load; unlike marking, skips recur across rounds — on capped
+        // staged DAGs most rounds skip a few processors — but each costs
+        // only the probe that discovers it.
         frontier.clear();
         frontier.push(0);
         while !frontier.is_empty() {
@@ -721,7 +723,8 @@ struct SelectScratch {
 }
 
 /// Probe buffers, touched only when an *inadmissible* processor sits at
-/// the load minimum (the memory-capped paths' rare case).
+/// the load minimum (memory-capped runs only, where it is common on
+/// storage-heavy staged DAGs).
 #[derive(Debug, Default)]
 struct ProbeScratch {
     /// Probe traversal frontier ([`ProcHeap::probe_with`]).
@@ -737,8 +740,8 @@ struct ProbeScratch {
 /// across runs.
 ///
 /// The layout is split along the round-shape axis: the uncontested fast
-/// path (one admissible top candidate, no competition — the
-/// overwhelmingly common round) touches only the leading `newly_ready`
+/// path (one admissible top candidate, no competition — every round of
+/// an uncapped run on the measured workloads) touches only the leading `newly_ready`
 /// buffer header, one cache line; the contested-round selection buffers
 /// and, behind those, the probe buffers only reachable through an
 /// inadmissible load minimum, sit in separate structs so the fast path
@@ -824,6 +827,12 @@ pub struct EngineState {
     slot_of_task: Vec<u32>,
     /// Inverse of `slot_of_task` (run-constant after `init`).
     task_of_slot: Vec<u32>,
+    /// The **wave floor**: the ready time of the last wave promoted into
+    /// `runnable` (0 before any). Every ready task's ready time is at
+    /// least the floor, so `max(floor, min load)` — the run's
+    /// [threshold](EngineState::threshold) — lower-bounds every start
+    /// key of the round.
+    floor: f64,
     /// Number of placements made so far.
     round: usize,
 }
@@ -855,8 +864,18 @@ impl EngineState {
             runnable: RankBitmap::default(),
             slot_of_task: Vec::new(),
             task_of_slot: Vec::new(),
+            floor: 0.0,
             round: 0,
         }
+    }
+
+    /// `max(floor, min load)`: ready tasks at (approximately) or below it
+    /// are runnable, the rest pending. It never decreases — loads only
+    /// grow, and a promotion raises the floor past it — so a task that
+    /// turns runnable stays runnable.
+    #[inline]
+    fn threshold(&self) -> f64 {
+        self.floor.max(self.procs.min_load())
     }
 
     /// Builds the slot tables for this run's priority rank (see the
@@ -924,6 +943,7 @@ impl EngineState {
                 self.runnable.insert(self.slot_of_task[i]);
             }
         }
+        self.floor = 0.0;
         self.round = 0;
     }
 
@@ -942,14 +962,15 @@ impl EngineState {
     /// * loads: each processor's last placement before `d` (a backward
     ///   walk over the log), with the heap rebuilt from them;
     /// * marks: those whose first marked round precedes `d`;
+    /// * wave floor: that of the last promotion before `d`;
     /// * readiness: recomputed for the unplaced tasks only — the log's
     ///   suffix plus arrivals — from their predecessor lists; a placed
     ///   task's [`PredState`] is never read again;
     /// * ready structures: the canonical split, runnable iff
-    ///   `approx_le(ready, min_load)`, else pending. A run in progress
-    ///   may still hold such a task in the pending heap, but the next
-    ///   round's migration moves it before either structure is read,
-    ///   and the pending pop order depends only on the key set.
+    ///   `approx_le(ready, max(floor, min_load))`, else pending. A run in
+    ///   progress may still hold such a task in the pending heap, but the
+    ///   next round's migration moves it before either structure is
+    ///   read, and the pending pop order depends only on the key set.
     ///
     /// A capped run's committed memory is admission state, not engine
     /// state: [`RunLog::memsize_before`] rebuilds it.
@@ -994,10 +1015,12 @@ impl EngineState {
             *r = u32::MAX;
         }
 
+        self.floor = log.rounds.floor_before(d);
+
         resize_for_overwrite(&mut self.preds, n, PredState::default());
         self.pending.clear();
         self.runnable.reset(n);
-        let l_min = self.procs.min_load();
+        let theta = self.threshold();
         for v in log.rounds.placed[d..]
             .iter()
             .map(|&t| t as usize)
@@ -1015,7 +1038,7 @@ impl EngineState {
             }
             self.preds[v] = PredState { ready, remaining };
             if remaining == 0 {
-                if approx_le(ready, l_min) {
+                if approx_le(ready, theta) {
                     self.runnable.insert(self.slot_of_task[v]);
                 } else {
                     self.pending
@@ -1027,6 +1050,23 @@ impl EngineState {
     }
 
     // sws-lint: hot-path
+    /// Moves every pending task whose ready time is (approximately) at
+    /// or below `theta` to the runnable bitmap. Forced inline: out of
+    /// line (with the heap pop it calls) it cost the all-fast-path
+    /// uncapped rounds up to 15% in the kernel bench.
+    #[inline(always)]
+    fn migrate(&mut self, theta: f64, ctr: &mut KernelCounters) {
+        while let Some(k) = self.pending.peek() {
+            if !approx_le(pend_ready(k), theta) {
+                break;
+            }
+            self.pending.pop();
+            ctr.pending_pops += 1;
+            self.runnable
+                .insert(self.slot_of_task[task_of(pend_pack(k)) as usize]);
+        }
+    }
+
     /// Executes one placement round, reporting the winning task and its
     /// start key (the replay machinery records them per round; plain
     /// runs discard them). Precondition: `rounds_done() < n`.
@@ -1036,19 +1076,35 @@ impl EngineState {
         rank: &PriorityRank,
         admission: &mut A,
         scratch: &mut StepScratch,
+        ctr: &mut KernelCounters,
     ) -> Result<(u32, f64), ModelError> {
+        ctr.rounds += 1;
         let q1 = self.procs.min();
         let l1 = self.procs.min_load();
 
-        // Migration: the minimum load only grows, so once a ready time is
-        // (approximately) at or below it the task is runnable forever.
-        while let Some(k) = self.pending.peek() {
-            if !approx_le(pend_ready(k), l1) {
-                break;
-            }
-            self.pending.pop();
-            self.runnable
-                .insert(self.slot_of_task[task_of(pend_pack(k)) as usize]);
+        // Migration: the threshold never decreases, so once a ready time
+        // is (approximately) at or below it the task is runnable forever.
+        let mut theta = self.floor.max(l1);
+        self.migrate(theta, ctr);
+
+        // Wave promotion: with nothing runnable, every ready time exceeds
+        // the threshold — on stage-synchronous DAGs a whole stage waits
+        // on one join time. The earliest pending ready time `T₀` becomes
+        // the floor, lower-bounding every start key this round and
+        // later, and the entries tying with it turn runnable: the scans
+        // below then settle the wave by rank instead of popping and
+        // re-probing all of it every round.
+        let mut top = self.runnable.min();
+        if top.is_none() {
+            let k = self
+                .pending
+                .peek()
+                .expect("an acyclic graph always has a ready task while tasks remain");
+            self.floor = pend_ready(k);
+            theta = self.floor;
+            ctr.promotions += 1;
+            self.migrate(theta, ctr);
+            top = self.runnable.min();
         }
 
         // Fast check for the dominant round shape: the best-ranked
@@ -1056,25 +1112,28 @@ impl EngineState {
         // no pending task's ready time reaches its start key, so the
         // full scan below would produce exactly this single candidate
         // (and the winning probe skips no processors). Equivalent by
-        // construction — the runnable scan would break at this task,
+        // construction — the runnable scan would stop at this task,
         // and the pending scan's entry condition is the one tested here.
         // When a pending task *does* compete, the admissible top is
         // handed to the general path as its first candidate (the scan
         // below would stop there anyway).
         let mut admissible_top: Option<(u32, u32, f64)> = None;
-        if let Some(slot) = self.runnable.min() {
+        if let Some(slot) = top {
             let i = self.task_of_slot[slot as usize];
             let s_i = csr.s(i as usize);
+            ctr.probes += 1;
             if admission.admits(q1, s_i) {
                 let key = self.preds[i as usize].ready.max(l1);
-                // When the key is the minimum load itself, the migration
-                // loop above already established that no pending ready
-                // time reaches it (tolerantly) — skip the re-check.
+                // A key at or below the threshold needs no re-check: the
+                // migration above established that no pending ready time
+                // reaches the threshold (tolerantly).
                 let contested = match self.pending.peek() {
-                    Some(k) => key > l1 && approx_le(pend_ready(k), key),
+                    Some(k) => key > theta && approx_le(pend_ready(k), key),
                     None => false,
                 };
+                ctr.runnable_pops += 1;
                 if !contested {
+                    ctr.fast_rounds += 1;
                     self.runnable.remove(slot);
                     self.place(csr, rank, admission, i as usize, q1, key, scratch);
                     return Ok((i, key));
@@ -1089,12 +1148,16 @@ impl EngineState {
         scratch.probe.skipped.clear();
 
         // Runnable scan: in slot (= rank, task) order, stop at the first
-        // task admissible on the least loaded processor — no later-slot
-        // runnable task can beat it (its key is minimal and its rank
-        // smaller or index-tied). Earlier-slot tasks rejected on q1 stay
-        // candidates with their own probe.
+        // candidate whose start key is (approximately) at or below the
+        // threshold. Every ready time is at least the floor and every
+        // load at least the minimum load, so no start key beats the
+        // threshold, and no later-slot runnable task can beat that
+        // candidate (its key is no smaller, its rank no smaller or
+        // index-tied). A task admissible on the least loaded processor
+        // always stops the scan; earlier-slot tasks stay candidates with
+        // their own probe.
         if let Some((slot, i, key)) = admissible_top {
-            // The scan would pop exactly this task and break.
+            // The scan would pop exactly this task and stop.
             self.runnable.remove(slot);
             scratch.sel.popped_runnable.push((slot, i));
             scratch.sel.cands.push(Candidate {
@@ -1106,33 +1169,12 @@ impl EngineState {
             });
         } else {
             while let Some(slot) = self.runnable.pop_min() {
+                ctr.runnable_pops += 1;
                 let i = self.task_of_slot[slot as usize];
                 scratch.sel.popped_runnable.push((slot, i));
-                let s_i = csr.s(i as usize);
-                if admission.admits(q1, s_i) {
-                    scratch.sel.cands.push(Candidate {
-                        key: self.preds[i as usize].ready.max(l1),
-                        rank: rank[i as usize],
-                        task: i,
-                        proc: q1 as u32,
-                        skipped: 0..0,
-                    });
+                let key = self.push_candidate(csr, rank, admission, scratch, ctr, i)?;
+                if approx_le(key, theta) {
                     break;
-                }
-                let sk_start = scratch.probe.skipped.len() as u32;
-                match self.procs.probe_with(
-                    |q| admission.admits(q, s_i),
-                    &mut scratch.probe.frontier,
-                    &mut scratch.probe.skipped,
-                ) {
-                    Some(j) => scratch.sel.cands.push(Candidate {
-                        key: self.preds[i as usize].ready.max(self.procs.load(j)),
-                        rank: rank[i as usize],
-                        task: i,
-                        proc: j as u32,
-                        skipped: sk_start..scratch.probe.skipped.len() as u32,
-                    }),
-                    None => return Err(admission.rejection_error(s_i)),
                 }
             }
         }
@@ -1147,49 +1189,15 @@ impl EngineState {
             .map(|c| c.key)
             .fold(f64::INFINITY, f64::min);
         while let Some(k) = self.pending.peek() {
-            let ready = pend_ready(k);
-            if !approx_le(ready, best_key) {
+            if !approx_le(pend_ready(k), best_key) {
                 break;
             }
-            let pack = pend_pack(k);
-            let (rk, i) = (rank_of(pack), task_of(pack));
             self.pending.pop();
+            ctr.pending_pops += 1;
             scratch.sel.popped_pending.push(k);
-            let s_i = csr.s(i as usize);
-            // The probe visits the least loaded processor first, so an
-            // accept on q1 — the overwhelmingly common case — needs no
-            // frontier machinery at all.
-            if admission.admits(q1, s_i) {
-                let key = ready.max(l1);
-                best_key = best_key.min(key);
-                scratch.sel.cands.push(Candidate {
-                    key,
-                    rank: rk,
-                    task: i,
-                    proc: q1 as u32,
-                    skipped: 0..0,
-                });
-                continue;
-            }
-            let sk_start = scratch.probe.skipped.len() as u32;
-            match self.procs.probe_with(
-                |q| admission.admits(q, s_i),
-                &mut scratch.probe.frontier,
-                &mut scratch.probe.skipped,
-            ) {
-                Some(j) => {
-                    let key = ready.max(self.procs.load(j));
-                    best_key = best_key.min(key);
-                    scratch.sel.cands.push(Candidate {
-                        key,
-                        rank: rk,
-                        task: i,
-                        proc: j as u32,
-                        skipped: sk_start..scratch.probe.skipped.len() as u32,
-                    });
-                }
-                None => return Err(admission.rejection_error(s_i)),
-            }
+            let key =
+                self.push_candidate(csr, rank, admission, scratch, ctr, task_of(pend_pack(k)))?;
+            best_key = best_key.min(key);
         }
 
         // Selection: fold with the shared comparator in task-index order,
@@ -1251,6 +1259,44 @@ impl EngineState {
         Ok((i as u32, key))
     }
 
+    /// Probes task `i` over the processors in load order and appends its
+    /// candidate — the least loaded admissible processor and the start
+    /// key there — to the round's list, returning the key. Every
+    /// verdict the probe consults goes through `admission`, so recording
+    /// predicates see all of them.
+    fn push_candidate<A: Admission>(
+        &self,
+        csr: &CsrDag,
+        rank: &PriorityRank,
+        admission: &A,
+        scratch: &mut StepScratch,
+        ctr: &mut KernelCounters,
+        i: u32,
+    ) -> Result<f64, ModelError> {
+        let s_i = csr.s(i as usize);
+        let sk_start = scratch.probe.skipped.len() as u32;
+        let j = self
+            .procs
+            .probe_with(
+                |q| {
+                    ctr.probes += 1;
+                    admission.admits(q, s_i)
+                },
+                &mut scratch.probe.frontier,
+                &mut scratch.probe.skipped,
+            )
+            .ok_or_else(|| admission.rejection_error(s_i))?;
+        let key = self.preds[i as usize].ready.max(self.procs.load(j));
+        scratch.sel.cands.push(Candidate {
+            key,
+            rank: rank[i as usize],
+            task: i,
+            proc: j as u32,
+            skipped: sk_start..scratch.probe.skipped.len() as u32,
+        });
+        Ok(key)
+    }
+
     /// Places task `i` on processor `j` starting at `key` and fires its
     /// completion event (shared tail of the fast and general selection
     /// paths).
@@ -1294,17 +1340,16 @@ impl EngineState {
         }
 
         // Bulk insertion pass. A successor whose ready time is already
-        // (approximately) at or below the current minimum load goes
-        // straight to the runnable bitmap: the minimum load never
-        // decreases and `approx_le` is monotone in its second argument,
-        // so the next round's migration would move it there anyway —
-        // skipping the pending round trip halves the structure traffic
-        // on wide ready fronts.
-        let l_min = self.procs.min_load();
+        // (approximately) at or below the threshold goes straight to the
+        // runnable bitmap: the threshold never decreases and `approx_le`
+        // is monotone in its second argument, so the next round's
+        // migration would move it there anyway — skipping the pending
+        // round trip halves the structure traffic on wide ready fronts.
+        let theta = self.threshold();
         for ni in 0..scratch.newly_ready.len() {
             let v = scratch.newly_ready[ni] as usize;
             let ready = self.preds[v].ready;
-            if approx_le(ready, l_min) {
+            if approx_le(ready, theta) {
                 self.runnable.insert(self.slot_of_task[v]);
             } else {
                 self.pending
@@ -1350,6 +1395,31 @@ pub struct KernelWorkspace {
     state: EngineState,
     scratch: StepScratch,
     probe: CancelProbe,
+    counters: KernelCounters,
+}
+
+/// Deterministic round-shape counters, summed over every run through
+/// one [`KernelWorkspace`] (read with [`KernelWorkspace::counters`]).
+/// They count work, not time, so they repeat exactly for the same
+/// inputs on any host: an algorithmic regression shows in them even
+/// where wall-clock noise hides it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelCounters {
+    /// Placement rounds executed.
+    pub rounds: u64,
+    /// Rounds settled by the fast path: the best-ranked runnable task
+    /// fits the least loaded processor and no pending task competes.
+    pub fast_rounds: u64,
+    /// Wave promotions: rounds that found nothing runnable and raised
+    /// the floor to the earliest pending ready time.
+    pub promotions: u64,
+    /// Tasks taken out of the runnable bitmap (losers go back in).
+    pub runnable_pops: u64,
+    /// Entries popped off the pending heap: migrations, promotions and
+    /// pending-scan candidates (losers are pushed back).
+    pub pending_pops: u64,
+    /// Admission verdicts consulted.
+    pub probes: u64,
 }
 
 impl Default for KernelWorkspace {
@@ -1365,7 +1435,14 @@ impl KernelWorkspace {
             state: EngineState::empty(),
             scratch: StepScratch::default(),
             probe: CancelProbe::never(),
+            counters: KernelCounters::default(),
         }
+    }
+
+    /// The round-shape counters of every run through this workspace so
+    /// far.
+    pub fn counters(&self) -> KernelCounters {
+        self.counters
     }
 
     /// Arms a cooperative cancellation/deadline probe: runs through this
@@ -1446,7 +1523,8 @@ pub fn event_driven_schedule_csr<A: Admission>(
         if ws.state.round.is_multiple_of(PROBE_STRIDE) {
             ws.probe.poll()?;
         }
-        ws.state.step(csr, rank, admission, &mut ws.scratch)?;
+        ws.state
+            .step(csr, rank, admission, &mut ws.scratch, &mut ws.counters)?;
     }
     ws.state.finish(m)
 }
@@ -1561,9 +1639,24 @@ struct Rounds {
     /// Smallest inadmissible `memsize[q] + s` each round probed (∞ when
     /// it rejected nothing; always ∞ uncapped).
     reject_min: Vec<f64>,
+    /// `(round, floor)` of each wave promotion, in round order.
+    floors: Vec<(u32, f64)>,
 }
 
 impl Rounds {
+    /// Number of promotions made before round `d`.
+    fn promotions_before(&self, d: usize) -> usize {
+        self.floors.partition_point(|&(r, _)| (r as usize) < d)
+    }
+
+    /// The wave floor in force before round `d`.
+    fn floor_before(&self, d: usize) -> f64 {
+        match self.promotions_before(d) {
+            0 => 0.0,
+            k => self.floors[k - 1].1,
+        }
+    }
+
     /// The records of the first `d` rounds.
     fn prefix(&self, d: usize) -> Rounds {
         let head = |v: &[f64]| v[..d.min(v.len())].to_vec();
@@ -1572,6 +1665,7 @@ impl Rounds {
             winner_key: head(&self.winner_key),
             min_load: head(&self.min_load),
             reject_min: self.reject_min[..d].to_vec(),
+            floors: self.floors[..self.promotions_before(d)].to_vec(),
         }
     }
 }
@@ -1619,7 +1713,16 @@ impl RunLog {
             if frontier {
                 rounds.min_load.push(ws.state.procs.min_load());
             }
-            let (task, key) = ws.state.step(csr, &rank, admission, &mut ws.scratch)?;
+            // A promotion strictly raises the floor.
+            let floor = ws.state.floor.to_bits();
+            let (task, key) =
+                ws.state
+                    .step(csr, &rank, admission, &mut ws.scratch, &mut ws.counters)?;
+            if ws.state.floor.to_bits() != floor {
+                rounds
+                    .floors
+                    .push((rounds.placed.len() as u32, ws.state.floor));
+            }
             rounds.placed.push(task);
             if frontier {
                 rounds.winner_key.push(key);
@@ -1733,7 +1836,10 @@ pub enum ReplanDelta {
 ///   ready time), so the first affected round is the first `t` with
 ///   `strictly_lt(max(ρ, min_load[t]), winner_key[t])`. Losing
 ///   candidates leave no trace (marking is winner-only), which is what
-///   makes the test exact rather than heuristic.
+///   makes the test exact rather than heuristic. The one exception is
+///   a wave promotion (see [`EngineState::step`]) whose floor `ρ` ties
+///   with or undercuts: the arrival changes the promoted floor or wave
+///   without winning, so the replay starts no later than that round.
 /// * In a **capped** session a changed storage requirement can flip
 ///   admission verdicts in any round that probed the task, which the
 ///   records cannot rule out past `r₀` — except for a *lowered*
@@ -1855,7 +1961,8 @@ impl ReplanRun {
                     // ready span.
                     ReplanStart::From(r0)
                 } else {
-                    ReplanStart::From(self.first_beaten_round(r0, n_old, rho).unwrap_or(n_old))
+                    let beaten = self.first_beaten_round(r0, n_old, rho).unwrap_or(n_old);
+                    ReplanStart::From(self.first_tied_wave(r0, beaten, rho).unwrap_or(beaten))
                 }
             }
             ReplanDelta::Recost {
@@ -1952,6 +2059,23 @@ impl ReplanRun {
     fn first_beaten_round(&self, from: usize, until: usize, rho: f64) -> Option<usize> {
         let r = &self.log.rounds;
         (from..until).find(|&t| strictly_lt(rho.max(r.min_load[t]), r.winner_key[t]))
+    }
+
+    /// First round in `from..until` that promoted a wave whose floor a
+    /// task ready at `rho` ties with or undercuts. Such a task would
+    /// have been runnable there (no promotion), set a lower floor, or
+    /// joined the wave, so a cold run's state differs from the log's
+    /// even where the task never wins. Past floors it clears, it is
+    /// pending at every promotion and changes neither the floor nor the
+    /// wave.
+    fn first_tied_wave(&self, from: usize, until: usize, rho: f64) -> Option<usize> {
+        let r = &self.log.rounds;
+        r.floors[r.promotions_before(from)..]
+            .iter()
+            .map(|&(t, floor)| (t as usize, floor))
+            .take_while(|&(t, _)| t < until)
+            .find(|&(_, floor)| approx_le(rho, floor))
+            .map(|(t, _)| t)
     }
 
     /// Whether `rank` is exactly the recorded rank (recost replans keep
@@ -2724,13 +2848,13 @@ mod tests {
     }
 
     /// [`stored_split`] after the migration the next round starts with:
-    /// pending entries ready at or below the minimum load are runnable.
+    /// pending entries ready at or below the threshold are runnable.
     fn canonical_split(state: &EngineState) -> (Vec<u32>, Vec<u128>) {
         let (mut runnable, stored) = stored_split(state);
-        let l_min = state.procs.min_load();
+        let theta = state.threshold();
         let (migrating, pending): (Vec<u128>, Vec<u128>) = stored
             .into_iter()
-            .partition(|&k| approx_le(pend_ready(k), l_min));
+            .partition(|&k| approx_le(pend_ready(k), theta));
         runnable.extend(
             migrating
                 .iter()
@@ -2779,7 +2903,13 @@ mod tests {
         for _ in 0..d {
             fresh
                 .state
-                .step(csr, rank, &mut fresh_adm, &mut fresh.scratch)
+                .step(
+                    csr,
+                    rank,
+                    &mut fresh_adm,
+                    &mut fresh.scratch,
+                    &mut fresh.counters,
+                )
                 .unwrap();
         }
 
@@ -2802,6 +2932,11 @@ mod tests {
             "least loaded before round {d}"
         );
         assert_eq!(st.mark_round, fr.mark_round, "marks before round {d}");
+        assert_eq!(
+            st.floor.to_bits(),
+            fr.floor.to_bits(),
+            "wave floor before round {d}"
+        );
         for v in log.rounds.placed[d..]
             .iter()
             .map(|&t| t as usize)
@@ -2826,7 +2961,9 @@ mod tests {
         let mut adm = ReplanAdmission::new(cap, || memsize);
         ws.scratch.clear();
         while ws.state.round < n {
-            ws.state.step(csr, rank, &mut adm, &mut ws.scratch).unwrap();
+            ws.state
+                .step(csr, rank, &mut adm, &mut ws.scratch, &mut ws.counters)
+                .unwrap();
         }
         let out = ws.state.finish(m).unwrap();
         assert_same_outcome(&out, expect, &format!("replay from round {d}"));
@@ -2836,9 +2973,18 @@ mod tests {
     fn restored_state_matches_a_fresh_run_at_every_round() {
         let m = 4;
         let mut ws = KernelWorkspace::new();
-        let (mut marked, mut rejected) = (false, false);
+        let (mut marked, mut rejected, mut waves) = (false, false, false);
         for seed in 1..=3u64 {
-            for graph in [tie_layered(seed, 90), tie_staged(seed, 90, m)] {
+            let staged = sws_workloads::dagsets::storage_heavy_staged(
+                90,
+                m,
+                &mut sws_workloads::seeded_rng(seed),
+            );
+            for graph in [
+                tie_layered(seed, 90),
+                tie_staged(seed, 90, m),
+                staged.graph().clone(),
+            ] {
                 let csr = graph.csr();
                 let rank = Arc::new(index_priority(csr.n()));
                 for cap in [None, Some(memory_cap(&csr, m, 2.0))] {
@@ -2848,11 +2994,122 @@ mod tests {
                     }
                     marked |= run.outcome().marked.contains(&true);
                     rejected |= run.log.rounds.reject_min.iter().any(|v| v.is_finite());
+                    waves |= !run.log.rounds.floors.is_empty();
                 }
             }
         }
-        // The instances must exercise the capped bookkeeping.
+        // The instances must exercise the capped bookkeeping and the
+        // wave floor.
         assert!(marked && rejected, "no capped run marked or rejected");
+        assert!(waves, "no run promoted a wave");
+    }
+
+    /// Stages of `w` tasks behind twin joins: join `a` (`p = 1`) and
+    /// join `b`, which ends `1e-11` later — well inside the comparison
+    /// tolerance — and is the one the next stage waits on. Returns the
+    /// graph and the `a` joins.
+    fn twin_join_staged(stages: usize, w: usize) -> (sws_dag::TaskGraph, Vec<u32>) {
+        let (mut p, mut s, mut edges, mut joins_a) = (vec![], vec![], vec![], vec![]);
+        let mut join_b = None;
+        for st in 0..stages {
+            let first = p.len();
+            for j in 0..w {
+                p.push(2.0 + ((st + j) % 3) as f64);
+                s.push(1.0 + (j % 4) as f64);
+                edges.extend(join_b.map(|b| (b, first + j)));
+                edges.extend([(first + j, first + w), (first + j, first + w + 1)]);
+            }
+            p.extend([1.0, 1.0 + 1e-11]);
+            s.extend([1.0, 1.0]);
+            joins_a.push((first + w) as u32);
+            join_b = Some(first + w + 1);
+        }
+        let tasks = sws_model::task::TaskSet::from_ps(&p, &s).unwrap();
+        (
+            sws_dag::TaskGraph::from_edges(tasks, &edges).unwrap(),
+            joins_a,
+        )
+    }
+
+    #[test]
+    fn an_arrival_tying_a_wave_floor_replays_from_the_promotion() {
+        let m = 4;
+        let (graph, joins_a) = twin_join_staged(6, 6);
+        let csr = graph.csr();
+        let rank = Arc::new(index_priority(csr.n()));
+        let mut ws = KernelWorkspace::new();
+        let run = ReplanRun::cold(&csr, m, Arc::clone(&rank), None, &mut ws).unwrap();
+        // Fed by an `a` join, the arrival is ready just before the next
+        // stage: it sets a lower floor at that stage's promotion without
+        // ever winning a round there.
+        let mut mutated = csr.clone();
+        mutated
+            .apply_delta(&sws_dag::CsrDelta::AddTask {
+                preds: vec![joins_a[2]],
+                p: 1.0,
+                s: 1.0,
+            })
+            .unwrap();
+        let mrank = Arc::new(index_priority(mutated.n()));
+        let (rho, r0) = run.ready_info(&mutated, mutated.n() - 1);
+        let beaten = run.first_beaten_round(r0, csr.n(), rho).unwrap();
+        let first = match run.first_affected(&mutated, &mrank, ReplanDelta::Arrival) {
+            ReplanStart::From(first) => first,
+            other => panic!("an index-ranked arrival replays, got {other:?}"),
+        };
+        assert!(first < beaten, "the tied wave must start the replay");
+        let expect = ReplanRun::cold(&mutated, m, Arc::clone(&mrank), None, &mut ws).unwrap();
+        for d in 0..=first {
+            check_restore(
+                &mutated,
+                m,
+                None,
+                &mrank,
+                &run.log,
+                d,
+                expect.outcome(),
+                &mut ws,
+            );
+        }
+        let warm = run
+            .replan(&mutated, mrank, ReplanDelta::Arrival, &mut ws)
+            .unwrap();
+        assert_eq!(warm.replayed_rounds(), mutated.n() - first);
+        assert_same_outcome(warm.outcome(), expect.outcome(), "tied arrival");
+    }
+
+    #[test]
+    fn round_counters_are_exact_on_a_capped_staged_run() {
+        let inst = sws_workloads::dagsets::storage_heavy_staged(
+            2800,
+            16,
+            &mut sws_workloads::seeded_rng(7),
+        );
+        let (csr, m) = (inst.csr(), inst.m());
+        let rank = index_priority(inst.n());
+        let mut ws = KernelWorkspace::new();
+        let mut adm = MemoryCapAdmission::new(m, 2.01 * inst.mmax_lower_bound());
+        event_driven_schedule_csr(&csr, m, &rank, &mut adm, &mut ws).unwrap();
+        let capped = KernelCounters {
+            rounds: 2784,
+            fast_rounds: 612,
+            promotions: 231,
+            runnable_pops: 5335,
+            pending_pops: 2761,
+            probes: 12230,
+        };
+        assert_eq!(ws.counters(), capped);
+        // Each stage is promoted once and then leaves the pending heap
+        // for good: under one pending pop per round.
+        assert!(capped.pending_pops <= capped.rounds);
+
+        // Counters accumulate across runs; uncapped, every round of this
+        // instance takes the fast path.
+        event_driven_schedule_csr(&csr, m, &rank, &mut Unrestricted, &mut ws).unwrap();
+        let c = ws.counters();
+        assert_eq!(c.rounds, 2 * capped.rounds);
+        assert_eq!(c.fast_rounds - capped.fast_rounds, capped.rounds);
+        assert_eq!(c.promotions, 2 * capped.promotions);
     }
 
     #[test]

@@ -40,9 +40,9 @@ pub mod spt;
 pub use dag_list::{dag_list_schedule, dag_list_schedule_csr};
 pub use graham::{graham_cmax, graham_mmax, list_schedule, list_schedule_with};
 pub use kernel::{
-    event_driven_schedule, event_driven_schedule_csr, Admission, CostShift, KernelOutcome,
-    KernelWorkspace, MemoryCapAdmission, ProcHeap, ReplanDelta, ReplanRun, Unrestricted,
-    PROBE_STRIDE,
+    event_driven_schedule, event_driven_schedule_csr, Admission, CostShift, KernelCounters,
+    KernelOutcome, KernelWorkspace, MemoryCapAdmission, ProcHeap, ReplanDelta, ReplanRun,
+    Unrestricted, PROBE_STRIDE,
 };
 pub use lpt::{lpt_cmax, lpt_mmax};
 pub use multifit::multifit_cmax;

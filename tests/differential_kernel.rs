@@ -16,15 +16,17 @@ use sws_core::pareto_sweep::{rls_sweep, sbo_sweep};
 use sws_core::rls::{naive, rls, rls_guarantee, PriorityOrder, RlsConfig};
 use sws_core::sbo::InnerAlgorithm;
 use sws_core::tri::tri_objective_rls;
-use sws_dag::DagInstance;
+use sws_dag::{DagInstance, TaskGraph};
 use sws_listsched::priority::{hlf_priority, index_priority, spt_priority};
 use sws_listsched::{dag_list_schedule, naive as listsched_naive};
 use sws_model::bounds::{cmax_lower_bound_prec, mmax_lower_bound};
+use sws_model::numeric::REL_TOL;
 use sws_model::objectives::ObjectivePoint;
+use sws_model::task::{Task, TaskSet};
 use sws_model::validate::validate_timed;
-use sws_workloads::dagsets::{dag_workload, DagFamily};
+use sws_workloads::dagsets::{dag_workload, storage_heavy_staged, DagFamily};
 use sws_workloads::random::random_instance;
-use sws_workloads::rng::{derive_seed, seeded_rng};
+use sws_workloads::rng::{derive_seed, seeded_rng, WorkloadRng};
 use sws_workloads::TaskDistribution;
 
 const DIFF_SEED: u64 = 0xD1FF;
@@ -212,6 +214,124 @@ fn batch_scheduler_matches_one_shot_runs() {
             assert_eq!(list_out.schedule, direct_list, "workers={workers}");
         }
     }
+}
+
+/// Kernel vs both naive oracles on one instance: RLS∆ under every
+/// priority order across the ∆ range (placements and start times bit
+/// for bit, kernel marks a subset of the oracle's), and unrestricted
+/// DAG list scheduling under three ranks.
+fn assert_kernel_matches_naive_oracles(
+    inst: &DagInstance,
+    ws: &mut sws_listsched::KernelWorkspace,
+    what: &str,
+) {
+    let same_bits = |a: &sws_model::schedule::TimedSchedule,
+                     b: &sws_model::schedule::TimedSchedule,
+                     ctx: &str| {
+        assert_eq!(a, b, "{ctx}: schedules differ");
+        for i in 0..a.n() {
+            assert_eq!(
+                a.start(i).to_bits(),
+                b.start(i).to_bits(),
+                "{ctx}: start of task {i}"
+            );
+        }
+    };
+    let m = inst.m();
+    for order in PriorityOrder::all() {
+        for &delta in &[2.01, 2.5, 3.0, 6.0] {
+            let ctx = format!("{what} m={m} {} ∆={delta}", order.label());
+            let config = RlsConfig::new(delta).with_order(order);
+            let fast = sws_core::rls::rls_in(inst, &config, ws).unwrap();
+            let slow = naive::rls(inst, &config).unwrap();
+            same_bits(&fast.schedule, &slow.schedule, &ctx);
+            for q in 0..m {
+                assert!(!fast.marked[q] || slow.marked[q], "{ctx}: mark on {q}");
+            }
+            assert!(fast.marked_count() <= fast.marked_bound(), "{ctx}");
+        }
+    }
+    for rank in [
+        index_priority(inst.n()),
+        hlf_priority(inst.graph()),
+        spt_priority(inst.graph()),
+    ] {
+        let fast = dag_list_schedule(inst, &rank);
+        let slow = listsched_naive::dag_list_schedule(inst, &rank);
+        same_bits(&fast, &slow, &format!("{what} m={m} uncapped"));
+    }
+}
+
+/// Storage-heavy staged DAGs — every stage waits on one join, so the
+/// kernel promotes each stage as a wave and settles it by rank: the
+/// kernel must still match both naive oracles, capped and uncapped.
+#[test]
+fn staged_waves_match_the_naive_oracles() {
+    let mut ws = sws_listsched::KernelWorkspace::new();
+    let mut stream = 1200u64;
+    for &m in &[4usize, 8, 16] {
+        for _ in 0..2 {
+            stream += 1;
+            let mut rng = seeded_rng(derive_seed(DIFF_SEED, stream));
+            let inst = storage_heavy_staged(160, m, &mut rng);
+            assert_kernel_matches_naive_oracles(&inst, &mut ws, "staged");
+        }
+    }
+    assert!(ws.counters().promotions > 0, "no wave was promoted");
+}
+
+/// A staged DAG whose waves become ready inside one tie band: each
+/// stage's tasks wait on one of four feeders that finish within a
+/// fraction of [`REL_TOL`] of each other, and processing times and
+/// storage include `0.0` and `-0.0`, so start keys, ready times and
+/// loads tie through the tolerance rather than exactly.
+fn tie_band_staged(stages: usize, m: usize, rng: &mut WorkloadRng) -> DagInstance {
+    use rand::Rng;
+    const P: [f64; 5] = [-0.0, 0.0, 1.0, 2.5, 4.0];
+    const S: [f64; 5] = [-0.0, 0.0, 1.0, 6.0, 12.0];
+    let width = m + m / 2;
+    let (mut tasks, mut edges) = (Vec::new(), Vec::new());
+    let mut join = None;
+    for _ in 0..stages {
+        let feeders = tasks.len();
+        for k in 0..4 {
+            let p = 3.0 * (1.0 + k as f64 * REL_TOL / 8.0);
+            tasks.push(Task { p, s: 1.0 });
+            edges.extend(join.map(|u| (u, feeders + k)));
+        }
+        let wave = tasks.len();
+        for j in 0..width {
+            tasks.push(Task {
+                p: P[rng.gen_range(0..P.len())],
+                s: S[rng.gen_range(0..S.len())],
+            });
+            edges.push((feeders + rng.gen_range(0..4usize), wave + j));
+            edges.push((wave + j, wave + width));
+        }
+        tasks.push(Task {
+            p: P[rng.gen_range(0..3usize)],
+            s: S[rng.gen_range(0..3usize)],
+        });
+        join = Some(wave + width);
+    }
+    let graph = TaskGraph::from_edges(TaskSet::new(tasks).unwrap(), &edges).unwrap();
+    DagInstance::new(graph, m).unwrap()
+}
+
+/// The tie-band variant of [`staged_waves_match_the_naive_oracles`].
+#[test]
+fn tie_band_waves_match_the_naive_oracles() {
+    let mut ws = sws_listsched::KernelWorkspace::new();
+    let mut stream = 1300u64;
+    for &m in &[4usize, 8, 16] {
+        for _ in 0..3 {
+            stream += 1;
+            let mut rng = seeded_rng(derive_seed(DIFF_SEED, stream));
+            let inst = tie_band_staged(8, m, &mut rng);
+            assert_kernel_matches_naive_oracles(&inst, &mut ws, "tie band");
+        }
+    }
+    assert!(ws.counters().promotions > 0, "no wave was promoted");
 }
 
 /// Unrestricted DAG list scheduling: kernel vs naive oracle over every

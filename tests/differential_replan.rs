@@ -271,6 +271,65 @@ fn completions_answer_from_cache_and_stay_bit_identical() {
     assert_eq!(engine.replayed_rounds(), 0);
 }
 
+/// Stages of `w` tasks behind twin joins: join `a` (`p = 1`) and join
+/// `b`, which ends `1e-11` later — inside the comparison tolerance — and
+/// is the one the next stage waits on. Returns the instance and the `a`
+/// joins.
+fn twin_join_staged(stages: usize, w: usize) -> (CsrDag, Vec<u32>) {
+    let (mut p, mut s, mut edges, mut joins_a) = (vec![], vec![], vec![], vec![]);
+    let mut join_b = None;
+    for st in 0..stages {
+        let first = p.len();
+        for j in 0..w {
+            p.push(2.0 + ((st + j) % 3) as f64);
+            s.push(1.0 + (j % 4) as f64);
+            edges.extend(join_b.map(|b| (b, first + j)));
+            edges.extend([(first + j, first + w), (first + j, first + w + 1)]);
+        }
+        p.extend([1.0, 1.0 + 1e-11]);
+        s.extend([1.0, 1.0]);
+        joins_a.push((first + w) as u32);
+        join_b = Some(first + w + 1);
+    }
+    let tasks = TaskSet::from_ps(&p, &s).unwrap();
+    let graph = sws_dag::TaskGraph::from_edges(tasks, &edges).unwrap();
+    (graph.csr(), joins_a)
+}
+
+/// An arrival fed by a stage join is ready when the next stage is:
+/// exactly with it (fed by the join the stage waits on) or just inside
+/// the tolerance before it (fed by its twin). Either way the kernel
+/// promotes that stage as one wave together with the arrival, under a
+/// floor the recorded run never saw in the second case, while the
+/// arrival (ranked last) wins none of the stage's rounds. Every replan
+/// must still equal a from-scratch solve, open and capped.
+#[test]
+fn an_arrival_fed_by_a_stage_join_stays_bit_identical() {
+    let m = 4;
+    let (csr, joins_a) = twin_join_staged(6, 6);
+    let mut ws = KernelWorkspace::new();
+    for cap in [None, Some(feasible_cap(&csr, &[], m))] {
+        for (k, &a) in joins_a.iter().enumerate() {
+            for join in [a, a + 1] {
+                let mut engine = ReplanEngine::open(csr.clone(), m, cap).unwrap();
+                let arrival = CsrDelta::AddTask {
+                    preds: vec![join],
+                    p: 1.0,
+                    s: 1.0,
+                };
+                let warm = engine.apply(&arrival).unwrap();
+                let cold = solve_from_scratch(engine.csr(), m, cap, &mut ws).unwrap();
+                let ctx = format!("cap={cap:?} stage {k} join {join}");
+                assert_bit_identical(&warm, &cold, &ctx);
+                assert!(
+                    engine.replayed_rounds() < engine.n() as u64,
+                    "{ctx}: the arrival replays a suffix, not a cold run"
+                );
+            }
+        }
+    }
+}
+
 /// Regression pin for the cap-resume path of the ∆-sweeps: a
 /// [`ReplanRun`] warm-resumed through increasing caps
 /// ([`ReplanDelta::Cap`]) stays bit-identical to cold runs at each cap —
