@@ -8,8 +8,6 @@
 //! row also records the proven guarantee and whether it was respected.
 
 use rayon::prelude::*;
-use serde::Serialize;
-
 use sws_core::pipeline::evaluate_sbo_result;
 use sws_core::sbo::{InnerAlgorithm, SboEngine};
 use sws_model::ratio::Reference;
@@ -81,7 +79,7 @@ impl E1Config {
 }
 
 /// One averaged cell of experiment E1.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct E1Row {
     /// Distribution label.
     pub distribution: String,

@@ -10,8 +10,6 @@
 //! and must stay below the proven guarantees.
 
 use rayon::prelude::*;
-use serde::Serialize;
-
 use sws_core::pipeline::evaluate_rls_result;
 use sws_core::rls::{PriorityOrder, RlsEngine};
 use sws_workloads::dagsets::{dag_workload, DagFamily};
@@ -70,7 +68,7 @@ impl E2Config {
 }
 
 /// One averaged cell of experiment E2.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct E2Row {
     /// DAG family label.
     pub family: String,

@@ -10,8 +10,6 @@
 
 use std::time::Instant;
 
-use serde::Serialize;
-
 use sws_core::portfolio::Portfolio;
 use sws_model::solve::{ObjectiveMode, SolveRequest};
 use sws_workloads::dagsets::{dag_workload, DagFamily};
@@ -59,7 +57,7 @@ impl E5Config {
 }
 
 /// One timing measurement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct E5Row {
     /// Algorithm label (`"sbo/lpt"`, `"rls"`).
     pub algorithm: String,

@@ -219,16 +219,17 @@ fn run_one(
     ws: &mut KernelWorkspace,
     admission: &mut MemoryCapAdmission,
 ) -> Result<KernelOutcome, ModelError> {
-    // Per-instance by nature: the flat mirror and the priority ranks.
-    let csr = inst.csr();
-    let rank = spec.order.rank_csr(inst.graph(), &csr);
+    // Per-instance by nature: the priority ranks (the flat form is the
+    // instance's own).
+    let csr = inst.shared_csr();
+    let rank = spec.order.rank_csr(inst.graph(), csr);
     let m = inst.m();
     match spec.algorithm {
-        BatchAlgorithm::DagList => event_driven_schedule_csr(&csr, m, &rank, &mut Unrestricted, ws),
+        BatchAlgorithm::DagList => event_driven_schedule_csr(csr, m, &rank, &mut Unrestricted, ws),
         BatchAlgorithm::Rls { delta } => {
             let lb = inst.mmax_lower_bound();
             admission.reset(m, delta * lb);
-            event_driven_schedule_csr(&csr, m, &rank, admission, ws)
+            event_driven_schedule_csr(csr, m, &rank, admission, ws)
         }
     }
 }

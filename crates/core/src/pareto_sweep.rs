@@ -214,25 +214,19 @@ impl SweepEngine {
     /// One chunk runs **inline** on the calling thread — no rayon
     /// dispatch — so a single-worker sweep has zero fan-out overhead.
     /// Each worker chain owns one kernel workspace (inside its
-    /// [`RlsEngine`]); the priority rank and the CSR instance mirror are
-    /// computed once and shared by every chain.
+    /// [`RlsEngine`]); the priority rank is computed once and, like the
+    /// instance's flat form, shared by every chain.
     pub fn run_rls(
         &self,
         inst: &DagInstance,
         order: PriorityOrder,
         deltas: &[f64],
     ) -> Result<Vec<(f64, RlsResult)>, ModelError> {
-        // One rank computation and one CSR flattening for the whole
-        // sweep, shared by every per-worker chain.
-        let csr = std::sync::Arc::new(inst.csr());
-        let rank = std::sync::Arc::new(order.rank_csr(inst.graph(), &csr));
+        // One rank computation for the whole sweep, shared by every
+        // per-worker chain (as is the instance's flat form).
+        let rank = std::sync::Arc::new(order.rank_csr(inst.graph(), inst.shared_csr()));
         run_chunks(self.chunked(deltas), |chunk| {
-            let mut engine = RlsEngine::with_parts(
-                inst,
-                order,
-                std::sync::Arc::clone(&rank),
-                std::sync::Arc::clone(&csr),
-            );
+            let mut engine = RlsEngine::with_parts(inst, order, std::sync::Arc::clone(&rank));
             chunk
                 .into_iter()
                 .map(|delta| Ok((delta, engine.run(delta)?)))

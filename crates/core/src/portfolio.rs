@@ -72,6 +72,7 @@ use sws_model::solve::{
     BackendId, BoundReport, BoundSource, CostEstimate, CostModel, Guarantee, ObjectiveMode,
     PrecedenceInstance, RequestInstance, Solution, SolveRequest, SolveStats,
 };
+use sws_model::validate::PredecessorLists;
 use sws_model::Instance;
 
 use crate::constrained::{
@@ -209,12 +210,9 @@ impl std::ops::Deref for IndependentRef<'_> {
 }
 
 /// Whether the request's instance is independent-task shaped (either
-/// genuinely independent or a DAG with no edges). `O(n)` for DAGs.
+/// genuinely independent or a DAG with no edges).
 fn independent_shaped(req: &SolveRequest) -> bool {
-    match req.instance {
-        RequestInstance::Independent(_) => true,
-        RequestInstance::Precedence(p) => p.preds().iter().all(|preds| preds.is_empty()),
-    }
+    edge_count(req) == 0
 }
 
 /// The independent-task view of the request, when one exists (see
@@ -223,7 +221,7 @@ fn independent_view<'a>(req: &SolveRequest<'a>) -> Option<IndependentRef<'a>> {
     match req.instance {
         RequestInstance::Independent(inst) => Some(IndependentRef::Borrowed(inst)),
         RequestInstance::Precedence(p) => {
-            if !p.preds().iter().all(|preds| preds.is_empty()) {
+            if p.preds().edge_count() != 0 {
                 return None;
             }
             Instance::new(p.tasks().clone(), p.m())
@@ -234,11 +232,11 @@ fn independent_view<'a>(req: &SolveRequest<'a>) -> Option<IndependentRef<'a>> {
 }
 
 /// Number of precedence edges the request carries (`0` for independent
-/// instances). `O(n)` — predecessor lists expose their lengths.
+/// instances).
 fn edge_count(req: &SolveRequest) -> usize {
     match req.instance {
         RequestInstance::Independent(_) => 0,
-        RequestInstance::Precedence(p) => p.preds().iter().map(Vec::len).sum(),
+        RequestInstance::Precedence(p) => p.preds().edge_count(),
     }
 }
 
@@ -249,12 +247,10 @@ pub(crate) fn resolve_dag<'a>(p: &'a dyn PrecedenceInstance) -> Result<DagRef<'a
     if let Some(dag) = p.as_any().downcast_ref::<DagInstance>() {
         return Ok(DagRef::Borrowed(dag));
     }
-    let mut edges = Vec::new();
-    for (task, preds) in p.preds().iter().enumerate() {
-        for &pred in preds {
-            edges.push((pred, task));
-        }
-    }
+    let preds = p.preds();
+    let edges: Vec<(usize, usize)> = (0..preds.len())
+        .flat_map(|task| preds.preds_of(task).map(move |pred| (pred, task)))
+        .collect();
     let graph = TaskGraph::from_edges(p.tasks().clone(), &edges)?;
     Ok(DagRef::Owned(Box::new(DagInstance::new(graph, p.m())?)))
 }
@@ -537,9 +533,9 @@ impl Solver for KernelDagListBackend {
             return Err(req.no_backend_error());
         };
         let dag = resolve_dag(p)?;
-        let csr = dag.csr();
         let rank = index_priority(dag.n());
-        let outcome = event_driven_schedule_csr(&csr, dag.m(), &rank, &mut Unrestricted, ws)?;
+        let outcome =
+            event_driven_schedule_csr(dag.shared_csr(), dag.m(), &rank, &mut Unrestricted, ws)?;
         let m = dag.m() as f64;
         let point = ObjectivePoint::of_timed_tasks(dag.tasks(), &outcome.schedule);
         Ok(Solution {

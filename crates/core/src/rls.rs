@@ -106,12 +106,12 @@ impl PriorityOrder {
         }
     }
 
-    /// [`PriorityOrder::rank`] from a prebuilt CSR mirror: cost-keyed
+    /// [`PriorityOrder::rank`] from the instance's flat form: cost-keyed
     /// orders sort by the instance's quantized `u32` cost ranks instead
     /// of `f64` comparators (same permutation, cheaper sort — see
     /// [`sws_listsched::priority::spt_priority_csr`]). Bottom-level
     /// priorities derive summed levels, which the cost table cannot
-    /// represent, so that arm still walks the nested graph.
+    /// represent, so that arm computes them from the graph.
     pub fn rank_csr(&self, graph: &TaskGraph, csr: &CsrDag) -> PriorityRank {
         match self {
             PriorityOrder::Index => index_priority(csr.n()),
@@ -323,10 +323,10 @@ pub fn rls_in(
     validate_rls_delta(config.delta)?;
     let lb = inst.mmax_lower_bound();
     let cap = config.delta * lb;
-    let csr = inst.csr();
-    let rank = config.order.rank_csr(inst.graph(), &csr);
+    let csr = inst.shared_csr();
+    let rank = config.order.rank_csr(inst.graph(), csr);
     let mut admission = MemoryCapAdmission::new(m, cap);
-    let outcome = event_driven_schedule_csr(&csr, m, &rank, &mut admission, ws)?;
+    let outcome = event_driven_schedule_csr(csr, m, &rank, &mut admission, ws)?;
     Ok(RlsResult {
         schedule: outcome.schedule,
         lb,
@@ -378,9 +378,6 @@ pub struct RlsEngine<'a> {
     inst: &'a DagInstance,
     order: PriorityOrder,
     rank: std::sync::Arc<PriorityRank>,
-    /// Flat CSR mirror of the instance, built once per engine (or per
-    /// sweep) and replayed against by every run of the chain.
-    csr: std::sync::Arc<CsrDag>,
     /// The Graham memory lower bound, computed once (it only depends on
     /// the instance).
     lb: f64,
@@ -396,28 +393,25 @@ impl<'a> RlsEngine<'a> {
     /// An engine with no warm state yet; the first [`RlsEngine::run`]
     /// is a cold run.
     pub fn new(inst: &'a DagInstance, order: PriorityOrder) -> Self {
-        let csr = std::sync::Arc::new(inst.csr());
-        let rank = std::sync::Arc::new(order.rank_csr(inst.graph(), &csr));
-        Self::with_parts(inst, order, rank, csr)
+        let rank = std::sync::Arc::new(order.rank_csr(inst.graph(), inst.shared_csr()));
+        Self::with_parts(inst, order, rank)
     }
 
     /// Like [`RlsEngine::new`], but with a precomputed priority rank for
-    /// `order` on this instance and a prebuilt CSR instance mirror —
-    /// lets a sweep rank and flatten the instance once for all its
-    /// per-worker chains.
+    /// `order` on this instance — lets a sweep rank the instance once
+    /// for all its per-worker chains. Every engine runs over the
+    /// instance's shared flat form ([`DagInstance::shared_csr`]).
     pub fn with_parts(
         inst: &'a DagInstance,
         order: PriorityOrder,
         rank: std::sync::Arc<PriorityRank>,
-        csr: std::sync::Arc<CsrDag>,
     ) -> Self {
-        assert_eq!(csr.n(), inst.n(), "CSR mirror must match the instance");
+        assert_eq!(rank.len(), inst.n(), "the rank must cover the instance");
         let m = inst.m();
         RlsEngine {
             inst,
             order,
             rank,
-            csr,
             lb: inst.mmax_lower_bound(),
             ws: KernelWorkspace::with_capacity(inst.n(), m),
             admission: MemoryCapAdmission::new(m, f64::INFINITY),
@@ -435,9 +429,10 @@ impl<'a> RlsEngine<'a> {
         };
         let cap = delta * self.lb;
         let rank = std::sync::Arc::clone(&self.rank);
+        let csr = self.inst.shared_csr();
         let run = match &self.last {
-            Some(prev) => prev.replan(&self.csr, rank, ReplanDelta::Cap(cap), &mut self.ws)?,
-            None => ReplanRun::cold(&self.csr, self.inst.m(), rank, Some(cap), &mut self.ws)?,
+            Some(prev) => prev.replan(csr, rank, ReplanDelta::Cap(cap), &mut self.ws)?,
+            None => ReplanRun::cold(csr, self.inst.m(), rank, Some(cap), &mut self.ws)?,
         };
         let result = RlsResult {
             schedule: run.outcome().schedule.clone(),
@@ -452,9 +447,9 @@ impl<'a> RlsEngine<'a> {
     }
 
     /// A **full from-scratch** RLS∆ run at `delta` that reuses the
-    /// engine's CSR mirror, priority rank, cached lower bound and kernel
-    /// workspace, but neither consults nor records the warm chain (no
-    /// placement log). This is the steady-state serving path —
+    /// instance's shared flat form and the engine's priority rank,
+    /// cached lower bound and kernel workspace, but neither consults nor
+    /// records the warm chain (no placement log). This is the steady-state serving path —
     /// every scheduling round executes, with zero per-run buffer
     /// allocation. Bit-identical to a one-shot [`rls`] call.
     pub fn run_detached(&mut self, delta: f64) -> Result<RlsResult, ModelError> {
@@ -462,8 +457,13 @@ impl<'a> RlsEngine<'a> {
         let m = self.inst.m();
         let cap = delta * self.lb;
         self.admission.reset(m, cap);
-        let outcome =
-            event_driven_schedule_csr(&self.csr, m, &self.rank, &mut self.admission, &mut self.ws)?;
+        let outcome = event_driven_schedule_csr(
+            self.inst.shared_csr(),
+            m,
+            &self.rank,
+            &mut self.admission,
+            &mut self.ws,
+        )?;
         Ok(RlsResult {
             schedule: outcome.schedule,
             lb: self.lb,
@@ -554,7 +554,7 @@ pub mod naive {
                 let pred_ready = graph
                     .preds(i)
                     .iter()
-                    .map(|&p| completion[p])
+                    .map(|&p| completion[p as usize])
                     .fold(0.0f64, f64::max);
                 let ready = pred_ready.max(load[j]);
                 let candidate = (ready, rank[i], i, j);
@@ -577,7 +577,7 @@ pub mod naive {
             memsize[j] += tasks.get(i).s;
             scheduled[i] = true;
             for &v in graph.succs(i) {
-                remaining_preds[v] -= 1;
+                remaining_preds[v as usize] -= 1;
             }
         }
 
@@ -767,10 +767,12 @@ mod tests {
 
     #[test]
     fn fork_join_respects_precedence_under_a_tight_cap() {
-        let graph = fork_join(2, 5).with_costs(|i| sws_model::task::Task {
-            p: 1.0 + (i % 3) as f64,
-            s: 1.0 + (i % 4) as f64,
-        });
+        let graph = fork_join(2, 5)
+            .with_costs(|i| sws_model::task::Task {
+                p: 1.0 + (i % 3) as f64,
+                s: 1.0 + (i % 4) as f64,
+            })
+            .unwrap();
         let inst = DagInstance::new(graph, 3).unwrap();
         let result = rls(&inst, &RlsConfig::new(2.25)).unwrap();
         check_feasible(&inst, &result);

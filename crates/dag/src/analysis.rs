@@ -1,12 +1,10 @@
 //! Structural statistics of task graphs, used in experiment logs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::TaskGraph;
 use crate::levels::{critical_path, depth, top_levels};
 
 /// Summary statistics of a task graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     /// Number of tasks.
     pub n: usize,
@@ -79,6 +77,7 @@ pub fn level_width(graph: &TaskGraph) -> usize {
     let mut level = vec![0usize; n];
     for &u in &order {
         for &v in graph.succs(u) {
+            let v = v as usize;
             level[v] = level[v].max(level[u] + 1);
         }
     }
@@ -103,6 +102,7 @@ pub fn levels_by_depth(graph: &TaskGraph) -> Vec<Vec<usize>> {
     let mut level = vec![0usize; n];
     for &u in &order {
         for &v in graph.succs(u) {
+            let v = v as usize;
             level[v] = level[v].max(level[u] + 1);
         }
     }
@@ -128,18 +128,58 @@ pub fn structurally_sound(graph: &TaskGraph) -> bool {
         .all(|(u, v)| top[v] + 1e-9 >= top[u] + graph.task(u).p)
 }
 
+impl TaskGraph {
+    /// The transitive reduction is not needed by the algorithms, but the
+    /// generators occasionally produce redundant edges; this removes any
+    /// edge `u → v` for which a longer path `u ⇝ v` exists. Runs in
+    /// O(n·(n+e)) which is fine for generator-sized graphs.
+    pub fn transitive_reduction(&self) -> TaskGraph {
+        let order = self
+            .topological_order()
+            .expect("transitive reduction requires an acyclic graph");
+        let n = self.n();
+        // reach[u] = set of vertices reachable from u via paths of length >= 1,
+        // computed bottom-up in reverse topological order.
+        let mut reach: Vec<Vec<bool>> = vec![vec![false; n]; n];
+        for &u in order.iter().rev() {
+            for &v in self.succs(u) {
+                let v = v as usize;
+                // Everything reachable from v is reachable from u.
+                let (ru, rv) = if u < v {
+                    let (l, r) = reach.split_at_mut(v);
+                    (&mut l[u], &r[0])
+                } else {
+                    let (l, r) = reach.split_at_mut(u);
+                    (&mut r[0], &l[v])
+                };
+                for (a, &b) in ru.iter_mut().zip(rv.iter()) {
+                    *a |= b;
+                }
+                ru[v] = true;
+            }
+        }
+        // An edge u -> v is redundant if some other successor w of u reaches v.
+        let edges: Vec<(usize, usize)> = self
+            .edges()
+            .filter(|&(u, v)| {
+                !self
+                    .succs(u)
+                    .iter()
+                    .any(|&w| w as usize != v && reach[w as usize][v])
+            })
+            .collect();
+        TaskGraph::from_edges(self.tasks().clone(), &edges).expect("a subset of valid edges")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::TaskGraph;
 
     fn diamond() -> TaskGraph {
-        let mut g = TaskGraph::unit(4);
-        g.add_edge(0, 1).unwrap();
-        g.add_edge(0, 2).unwrap();
-        g.add_edge(1, 3).unwrap();
-        g.add_edge(2, 3).unwrap();
-        g
+        let edges = [(0, 1), (0, 2), (1, 3), (2, 3)];
+        TaskGraph::from_edges(TaskGraph::unit(4).tasks().clone(), &edges).unwrap()
     }
 
     #[test]

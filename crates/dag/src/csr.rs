@@ -1,11 +1,8 @@
 //! Flat CSR (compressed sparse row) representation of a task graph.
 //!
-//! The pointer-rich [`crate::TaskGraph`] (`Vec<Vec<usize>>` adjacency,
-//! tasks behind a `TaskSet`) is convenient to build and mutate, but the
-//! scheduling kernel walks adjacency lists and task costs on every round
-//! of its hot loop, where the per-list heap indirection and the
-//! interleaved `(p, s)` pairs cost real cache misses. [`CsrDag`] is the
-//! read-only flat mirror the kernel borrows instead:
+//! [`CsrDag`] is the one adjacency form of an instance. The scheduling
+//! kernel walks adjacency lists and task costs on every round of its hot
+//! loop, so they are laid out flat:
 //!
 //! * both directions of the adjacency as classic CSR — an `offsets`
 //!   array of `n + 1` entries plus a single contiguous `edges` array —
@@ -16,18 +13,19 @@
 //!   admissibility probes) or only processing times (placement) stream
 //!   one array instead of striding over pairs.
 //!
-//! A `CsrDag` is built **once per instance** ([`TaskGraph::csr`] /
-//! [`crate::DagInstance::csr`]) and shared by every run over that
-//! instance; the edge order within each list is preserved exactly, so a
-//! kernel run over the CSR form visits neighbours in the same order as
-//! one over the nested-`Vec` form.
+//! A `CsrDag` is built **once per instance**, straight from the edge list
+//! by [`crate::TaskGraph::from_edges`] (two counting sorts), and shared
+//! behind an `Arc` by the [`crate::TaskGraph`], its
+//! [`crate::DagInstance`] and every run over that instance
+//! ([`crate::DagInstance::shared_csr`]). Each adjacency list keeps the
+//! order in which its edges first appear in the edge list.
 
-use crate::graph::TaskGraph;
 use crate::keys::KeyTable;
+use sws_model::task::TaskSet;
 use sws_model::validate::CsrPreds;
 
-/// Flat, read-only mirror of a [`TaskGraph`]: CSR adjacency in both
-/// directions plus structure-of-arrays task costs.
+/// Flat form of a task graph: CSR adjacency in both directions plus
+/// structure-of-arrays task costs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrDag {
     n: usize,
@@ -53,54 +51,38 @@ pub struct CsrDag {
 }
 
 impl CsrDag {
-    /// Flattens a [`TaskGraph`] into CSR form. Edge order within each
-    /// adjacency list is preserved.
-    pub fn from_graph(graph: &TaskGraph) -> Self {
-        Self::from_graph_with_key_limit(graph, KeyTable::DEFAULT_LIMIT)
+    /// Builds the flat form from an edge list that
+    /// [`crate::TaskGraph::from_edges`] has checked (endpoints in range, no
+    /// self-loops, `u32`-indexable): one stable counting sort per
+    /// direction, repeated edges dropped after their first occurrence.
+    pub(crate) fn from_valid_edges(tasks: &TaskSet, edges: &[(usize, usize)]) -> Self {
+        let n = tasks.len();
+        let (succ_offsets, succ_edges, dropped) =
+            bucket_by(n, edges.iter().map(|&(u, v)| (u, v)), true);
+        // The pred side repeats a pair exactly when the succ side does.
+        let (pred_offsets, pred_edges, _) =
+            bucket_by(n, edges.iter().map(|&(u, v)| (v, u)), dropped);
+        Self::assemble([pred_offsets, pred_edges, succ_offsets, succ_edges], tasks)
     }
 
-    /// [`CsrDag::from_graph`] with an explicit distinct-cost-value limit
-    /// for the quantization table — tests lower it to exercise the
-    /// saturated (`cost_keys = None`) fallback without 2³² floats.
-    pub fn from_graph_with_key_limit(graph: &TaskGraph, key_limit: usize) -> Self {
-        let n = graph.n();
-        assert!(
-            n < u32::MAX as usize && graph.edge_count() <= u32::MAX as usize,
-            "CSR representation uses u32 indices"
-        );
-        let mut pred_offsets = Vec::with_capacity(n + 1);
-        let mut succ_offsets = Vec::with_capacity(n + 1);
-        let mut pred_edges = Vec::with_capacity(graph.edge_count());
-        let mut succ_edges = Vec::with_capacity(graph.edge_count());
-        let mut proc_time = Vec::with_capacity(n);
-        let mut mem_size = Vec::with_capacity(n);
-        pred_offsets.push(0);
-        succ_offsets.push(0);
-        for i in 0..n {
-            pred_edges.extend(graph.preds(i).iter().map(|&u| u as u32));
-            succ_edges.extend(graph.succs(i).iter().map(|&v| v as u32));
-            pred_offsets.push(pred_edges.len() as u32);
-            succ_offsets.push(succ_edges.len() as u32);
-            let t = graph.task(i);
-            proc_time.push(t.p);
-            mem_size.push(t.s);
-        }
-        let cost_keys =
-            KeyTable::build_with_limit(proc_time.iter().chain(mem_size.iter()).copied(), key_limit);
-        let (p_rank, s_rank) = match &cost_keys {
-            Some(table) => {
-                let rank = |v: f64| {
-                    table
-                        .rank_of(v)
-                        .expect("the table was built over exactly these values")
-                };
-                (
-                    proc_time.iter().map(|&p| rank(p)).collect(),
-                    mem_size.iter().map(|&s| rank(s)).collect(),
-                )
-            }
-            None => (Vec::new(), Vec::new()),
-        };
+    /// Wraps the adjacency arrays with the costs of `tasks`, quantized
+    /// in one sort (see [`KeyTable::build_ranked`]).
+    fn assemble(
+        [pred_offsets, pred_edges, succ_offsets, succ_edges]: [Vec<u32>; 4],
+        tasks: &TaskSet,
+    ) -> Self {
+        let n = tasks.len();
+        let (proc_time, mem_size): (Vec<f64>, Vec<f64>) =
+            tasks.as_slice().iter().map(|t| (t.p, t.s)).unzip();
+        let pooled = proc_time.iter().chain(&mem_size).copied();
+        let (cost_keys, p_rank, s_rank) =
+            match KeyTable::build_ranked(pooled, KeyTable::DEFAULT_LIMIT) {
+                Some((table, mut p_rank)) => {
+                    let s_rank = p_rank.split_off(n);
+                    (Some(table), p_rank, s_rank)
+                }
+                None => (None, Vec::new(), Vec::new()),
+            };
         CsrDag {
             n,
             pred_offsets,
@@ -113,6 +95,30 @@ impl CsrDag {
             p_rank,
             s_rank,
         }
+    }
+
+    /// The same adjacency with the costs of `tasks` (one task per node):
+    /// the adjacency arrays are copied as they are, only the cost arrays
+    /// and their quantization are rebuilt.
+    pub(crate) fn with_costs(&self, tasks: &TaskSet) -> Self {
+        let adjacency = [
+            self.pred_offsets.clone(),
+            self.pred_edges.clone(),
+            self.succ_offsets.clone(),
+            self.succ_edges.clone(),
+        ];
+        Self::assemble(adjacency, tasks)
+    }
+
+    /// A copy whose quantization table is dropped when it holds more than
+    /// `key_limit` distinct values — tests lower the limit to exercise
+    /// the saturated (`cost_keys = None`) fallback without 2³² floats.
+    pub fn with_key_limit(&self, key_limit: usize) -> Self {
+        let mut csr = self.clone();
+        if csr.cost_keys.as_ref().is_some_and(|t| t.len() > key_limit) {
+            csr.saturate_keys();
+        }
+        csr
     }
 
     /// Number of tasks.
@@ -287,9 +293,56 @@ impl CsrDag {
     }
 }
 
+/// One direction of the CSR: a stable counting sort of `(key, value)`
+/// pairs (all `< n`). With `dedup`, a value repeated under one key is
+/// kept only where it first appears (a mark array, no per-list search);
+/// the flag returned says whether anything was dropped.
+fn bucket_by(
+    n: usize,
+    pairs: impl Iterator<Item = (usize, usize)> + Clone,
+    dedup: bool,
+) -> (Vec<u32>, Vec<u32>, bool) {
+    let mut offsets = vec![0u32; n + 1];
+    for (key, _) in pairs.clone() {
+        offsets[key + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut cursor = offsets[..n].to_vec();
+    let mut values = vec![0u32; offsets[n] as usize];
+    for (key, value) in pairs {
+        values[cursor[key] as usize] = value as u32;
+        cursor[key] += 1;
+    }
+    if !dedup {
+        return (offsets, values, false);
+    }
+    let mut seen_under = vec![u32::MAX; n];
+    let mut kept = 0usize;
+    let mut start = 0usize;
+    for key in 0..n {
+        let end = offsets[key + 1] as usize;
+        offsets[key] = kept as u32;
+        for k in start..end {
+            let value = values[k];
+            if seen_under[value as usize] != key as u32 {
+                seen_under[value as usize] = key as u32;
+                values[kept] = value;
+                kept += 1;
+            }
+        }
+        start = end;
+    }
+    let dropped = kept < values.len();
+    offsets[n] = kept as u32;
+    values.truncate(kept);
+    (offsets, values, dropped)
+}
+
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::graph::TaskGraph;
     use sws_model::task::{Task, TaskSet};
 
     fn diamond() -> TaskGraph {
@@ -304,17 +357,28 @@ mod tests {
 
     #[test]
     fn csr_mirrors_the_nested_adjacency_exactly() {
-        let g = diamond();
-        let csr = CsrDag::from_graph(&g);
-        assert_eq!(csr.n(), g.n());
-        assert_eq!(csr.edge_count(), g.edge_count());
-        for i in 0..g.n() {
-            let preds: Vec<usize> = csr.preds(i).iter().map(|&u| u as usize).collect();
-            let succs: Vec<usize> = csr.succs(i).iter().map(|&v| v as usize).collect();
-            assert_eq!(preds, g.preds(i), "preds of {i}");
-            assert_eq!(succs, g.succs(i), "succs of {i}");
-            assert_eq!(csr.in_degree(i), g.in_degree(i));
-            assert_eq!(csr.out_degree(i), g.out_degree(i));
+        // Parallel edges and out-of-index-order insertion: the flat lists
+        // must equal nested lists filled edge by edge, repeats skipped.
+        let edges = [(2, 3), (0, 2), (0, 1), (2, 3), (1, 3), (0, 2), (0, 3)];
+        let g = TaskGraph::from_edges(diamond().tasks().clone(), &edges).unwrap();
+        let mut preds = vec![Vec::new(); 4];
+        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); 4];
+        for &(u, v) in &edges {
+            if !succs[u].contains(&v) {
+                succs[u].push(v);
+                preds[v].push(u);
+            }
+        }
+        let csr = g.csr();
+        assert_eq!(csr.n(), 4);
+        assert_eq!(csr.edge_count(), 5);
+        for i in 0..4 {
+            let p: Vec<usize> = csr.preds(i).iter().map(|&u| u as usize).collect();
+            let s: Vec<usize> = csr.succs(i).iter().map(|&v| v as usize).collect();
+            assert_eq!(p, preds[i], "preds of {i}");
+            assert_eq!(s, succs[i], "succs of {i}");
+            assert_eq!(csr.in_degree(i), preds[i].len());
+            assert_eq!(csr.out_degree(i), succs[i].len());
             assert_eq!(csr.p(i), g.task(i).p);
             assert_eq!(csr.s(i), g.task(i).s);
         }
@@ -323,7 +387,7 @@ mod tests {
     #[test]
     fn empty_graph_flattens_to_empty_csr() {
         let g = TaskGraph::new(TaskSet::from_ps(&[], &[]).unwrap());
-        let csr = CsrDag::from_graph(&g);
+        let csr = g.csr();
         assert_eq!(csr.n(), 0);
         assert_eq!(csr.edge_count(), 0);
     }
@@ -331,7 +395,7 @@ mod tests {
     #[test]
     fn cost_ranks_mirror_the_f64_order() {
         let g = diamond();
-        let csr = CsrDag::from_graph(&g);
+        let csr = g.csr();
         let table = csr.cost_keys().expect("tiny instance never saturates");
         let p_rank = csr.p_ranks().unwrap();
         let s_rank = csr.s_ranks().unwrap();
@@ -348,8 +412,8 @@ mod tests {
     #[test]
     fn saturated_key_limit_disables_quantization_only() {
         let g = diamond();
-        let full = CsrDag::from_graph(&g);
-        let capped = CsrDag::from_graph_with_key_limit(&g, 2);
+        let full = g.csr();
+        let capped = full.with_key_limit(2);
         assert!(capped.cost_keys().is_none());
         assert!(capped.p_ranks().is_none());
         assert!(capped.s_ranks().is_none());
@@ -365,13 +429,27 @@ mod tests {
     #[test]
     fn pred_lists_view_iterates_like_the_nested_lists() {
         let g = diamond();
-        let csr = CsrDag::from_graph(&g);
+        let csr = g.csr();
         let view = csr.pred_lists();
         use sws_model::validate::PredecessorLists;
         assert_eq!(view.len(), g.n());
         for i in 0..g.n() {
             let via_view: Vec<usize> = view.preds_of(i).collect();
-            assert_eq!(via_view, g.preds(i));
+            let via_csr: Vec<usize> = csr.preds(i).iter().map(|&u| u as usize).collect();
+            assert_eq!(via_view, via_csr);
         }
+    }
+
+    #[test]
+    fn new_costs_keep_the_adjacency_and_requantize() {
+        let g = diamond();
+        let tasks = TaskSet::from_ps(&[4.0, 3.0, 2.0, 1.0], &[1.0; 4]).unwrap();
+        let csr = g.shared_csr().with_costs(&tasks);
+        for i in 0..4 {
+            assert_eq!(csr.preds(i), g.shared_csr().preds(i));
+            assert_eq!(csr.succs(i), g.shared_csr().succs(i));
+        }
+        assert_eq!(csr.p_ranks().unwrap(), &[3, 2, 1, 0]);
+        assert_eq!(csr.s_ranks().unwrap(), &[0; 4]);
     }
 }

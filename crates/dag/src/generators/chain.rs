@@ -1,31 +1,23 @@
 //! Single dependence chain and related degenerate topologies.
 
-use crate::graph::TaskGraph;
+use crate::graph::{unit_tasks, TaskGraph};
 
 /// A chain of `n` unit tasks `0 → 1 → … → n−1`. The critical path equals
 /// the total work, so no parallel schedule can beat sequential execution —
 /// the worst case for the `|CP|` term of Lemma 5.
 pub fn chain(n: usize) -> TaskGraph {
-    let mut g = TaskGraph::unit(n);
-    for i in 1..n {
-        g.add_edge(i - 1, i)
-            .expect("indices are in range by construction");
-    }
-    g
+    let edges: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
+    TaskGraph::from_edges(unit_tasks(n), &edges).expect("valid generator edges")
 }
 
 /// `k` disjoint chains of `len` unit tasks each: an embarrassingly
 /// parallel workload at the chain granularity (useful to stress the memory
 /// constraint while keeping the makespan structure trivial).
 pub fn parallel_chains(k: usize, len: usize) -> TaskGraph {
-    let mut g = TaskGraph::unit(k * len);
-    for c in 0..k {
-        for i in 1..len {
-            g.add_edge(c * len + i - 1, c * len + i)
-                .expect("indices are in range by construction");
-        }
-    }
-    g
+    let edges: Vec<(usize, usize)> = (0..k)
+        .flat_map(|c| (1..len).map(move |i| (c * len + i - 1, c * len + i)))
+        .collect();
+    TaskGraph::from_edges(unit_tasks(k * len), &edges).expect("valid generator edges")
 }
 
 #[cfg(test)]

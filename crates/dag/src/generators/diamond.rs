@@ -1,6 +1,6 @@
 //! 2-D stencil / wavefront ("diamond") dependency grids.
 
-use crate::graph::TaskGraph;
+use crate::graph::{unit_tasks, TaskGraph};
 
 /// A `rows × cols` wavefront grid: task `(i, j)` depends on `(i−1, j)` and
 /// `(i, j−1)`. This is the dependency pattern of dynamic-programming
@@ -8,18 +8,18 @@ use crate::graph::TaskGraph;
 pub fn diamond_grid(rows: usize, cols: usize) -> TaskGraph {
     assert!(rows >= 1 && cols >= 1, "grid needs at least one cell");
     let idx = |i: usize, j: usize| i * cols + j;
-    let mut g = TaskGraph::unit(rows * cols);
+    let mut edges = Vec::with_capacity(2 * rows * cols);
     for i in 0..rows {
         for j in 0..cols {
             if i + 1 < rows {
-                g.add_edge(idx(i, j), idx(i + 1, j)).expect("valid index");
+                edges.push((idx(i, j), idx(i + 1, j)));
             }
             if j + 1 < cols {
-                g.add_edge(idx(i, j), idx(i, j + 1)).expect("valid index");
+                edges.push((idx(i, j), idx(i, j + 1)));
             }
         }
     }
-    g
+    TaskGraph::from_edges(unit_tasks(rows * cols), &edges).expect("valid generator edges")
 }
 
 #[cfg(test)]

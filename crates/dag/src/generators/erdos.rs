@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use crate::graph::TaskGraph;
+use crate::graph::{unit_tasks, TaskGraph};
 
 /// A random DAG over `n` unit tasks where each ordered pair `(i, j)` with
 /// `i < j` carries an edge independently with probability `edge_prob`.
@@ -18,15 +18,15 @@ pub fn layered_erdos<R: Rng + ?Sized>(n: usize, edge_prob: f64, rng: &mut R) -> 
         (0.0..=1.0).contains(&edge_prob),
         "edge probability must be in [0, 1]"
     );
-    let mut g = TaskGraph::unit(n);
+    let mut edges = Vec::new();
     for i in 0..n {
         for j in (i + 1)..n {
             if rng.gen_bool(edge_prob) {
-                g.add_edge(i, j).expect("valid index");
+                edges.push((i, j));
             }
         }
     }
-    g
+    TaskGraph::from_edges(unit_tasks(n), &edges).expect("valid generator edges")
 }
 
 #[cfg(test)]

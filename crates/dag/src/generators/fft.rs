@@ -30,18 +30,17 @@ pub fn fft_butterfly(levels: usize) -> TaskGraph {
             tasks.push(Task::new_unchecked(1.0, s));
         }
     }
-    let mut g = TaskGraph::new(TaskSet::new(tasks).expect("costs are positive"));
+    let mut edges = Vec::with_capacity(2 * levels * points);
     for rank in 0..levels {
         let stride = 1usize << rank;
         for pos in 0..points {
             let partner = pos ^ stride;
-            g.add_edge(idx(rank, pos), idx(rank + 1, pos))
-                .expect("valid index");
-            g.add_edge(idx(rank, partner), idx(rank + 1, pos))
-                .expect("valid index");
+            edges.push((idx(rank, pos), idx(rank + 1, pos)));
+            edges.push((idx(rank, partner), idx(rank + 1, pos)));
         }
     }
-    g
+    TaskGraph::from_edges(TaskSet::new(tasks).expect("costs are positive"), &edges)
+        .expect("valid generator edges")
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Repeated fork–join stages.
 
-use crate::graph::TaskGraph;
+use crate::graph::{unit_tasks, TaskGraph};
 
 /// A fork–join graph with `stages` stages of `width` parallel unit tasks
 /// each, separated by single synchronization tasks:
@@ -14,7 +14,7 @@ pub fn fork_join(stages: usize, width: usize) -> TaskGraph {
     assert!(stages >= 1, "fork_join needs at least one stage");
     assert!(width >= 1, "fork_join needs width >= 1");
     let n = stages * width + stages + 1;
-    let mut g = TaskGraph::unit(n);
+    let mut edges = Vec::with_capacity(2 * stages * width);
     // Node layout: sync nodes are 0, width+1, 2(width+1), ...; stage s's
     // parallel tasks are the `width` indices following sync node s.
     let sync = |s: usize| s * (width + 1);
@@ -23,11 +23,11 @@ pub fn fork_join(stages: usize, width: usize) -> TaskGraph {
         let join = sync(s + 1);
         for w in 0..width {
             let task = fork + 1 + w;
-            g.add_edge(fork, task).expect("valid index");
-            g.add_edge(task, join).expect("valid index");
+            edges.push((fork, task));
+            edges.push((task, join));
         }
     }
-    g
+    TaskGraph::from_edges(unit_tasks(n), &edges).expect("valid generator edges")
 }
 
 #[cfg(test)]

@@ -47,23 +47,20 @@ pub fn gaussian_elimination(k: usize) -> TaskGraph {
         }
     }
     let tasks = sws_model::task::TaskSet::new(tasks).expect("costs are positive");
-    let mut g = TaskGraph::new(tasks);
+    let mut edges = Vec::new();
     for j in 0..steps {
         for i in (j + 1)..k {
-            g.add_edge(pivot_idx[j], update_idx[j][i])
-                .expect("valid index");
+            edges.push((pivot_idx[j], update_idx[j][i]));
         }
         if j + 1 < steps {
             // The update of the next pivot row enables the next pivot.
-            g.add_edge(update_idx[j][j + 1], pivot_idx[j + 1])
-                .expect("valid index");
+            edges.push((update_idx[j][j + 1], pivot_idx[j + 1]));
             for i in (j + 2)..k {
-                g.add_edge(update_idx[j][i], update_idx[j + 1][i])
-                    .expect("valid index");
+                edges.push((update_idx[j][i], update_idx[j + 1][i]));
             }
         }
     }
-    g
+    TaskGraph::from_edges(tasks, &edges).expect("valid generator edges")
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use crate::graph::TaskGraph;
+use crate::graph::{unit_tasks, TaskGraph};
 
 /// A random layered DAG with `n` unit tasks split into `layers` layers of
 /// (roughly) equal size. Each task in layer `l ≥ 1` receives an edge from
@@ -24,7 +24,7 @@ pub fn layered_random<R: Rng + ?Sized>(
         (0.0..=1.0).contains(&edge_prob),
         "edge probability must be in [0, 1]"
     );
-    let mut g = TaskGraph::unit(n);
+    let mut edges = Vec::new();
     // Distribute tasks over layers as evenly as possible.
     let base = n / layers;
     let extra = n % layers;
@@ -40,17 +40,17 @@ pub fn layered_random<R: Rng + ?Sized>(
             let mut got_pred = false;
             for &u in &layer_of[l - 1] {
                 if rng.gen_bool(edge_prob) {
-                    g.add_edge(u, v).expect("valid index");
+                    edges.push((u, v));
                     got_pred = true;
                 }
             }
             if !got_pred {
                 let pick = layer_of[l - 1][rng.gen_range(0..layer_of[l - 1].len())];
-                g.add_edge(pick, v).expect("valid index");
+                edges.push((pick, v));
             }
         }
     }
-    g
+    TaskGraph::from_edges(unit_tasks(n), &edges).expect("valid generator edges")
 }
 
 #[cfg(test)]

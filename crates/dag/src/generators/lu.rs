@@ -56,18 +56,16 @@ pub fn lu_factorization(b: usize) -> TaskGraph {
         }
     }
 
-    let mut g = TaskGraph::new(TaskSet::new(tasks).expect("costs are positive"));
+    let mut edges = Vec::new();
     for k in 0..b {
         for i in (k + 1)..b {
-            g.add_edge(diag[k], lsolve[k][i]).expect("valid index");
-            g.add_edge(diag[k], usolve[k][i]).expect("valid index");
+            edges.push((diag[k], lsolve[k][i]));
+            edges.push((diag[k], usolve[k][i]));
         }
         for i in (k + 1)..b {
             for j in (k + 1)..b {
-                g.add_edge(lsolve[k][i], update[k][i][j])
-                    .expect("valid index");
-                g.add_edge(usolve[k][j], update[k][i][j])
-                    .expect("valid index");
+                edges.push((lsolve[k][i], update[k][i][j]));
+                edges.push((usolve[k][j], update[k][i][j]));
                 // Route the updated block to the consumer at step k + 1.
                 if k + 1 < b {
                     let target = if i == k + 1 && j == k + 1 {
@@ -79,12 +77,13 @@ pub fn lu_factorization(b: usize) -> TaskGraph {
                     } else {
                         update[k + 1][i][j]
                     };
-                    g.add_edge(update[k][i][j], target).expect("valid index");
+                    edges.push((update[k][i][j], target));
                 }
             }
         }
     }
-    g
+    TaskGraph::from_edges(TaskSet::new(tasks).expect("costs are positive"), &edges)
+        .expect("valid generator edges")
 }
 
 #[cfg(test)]

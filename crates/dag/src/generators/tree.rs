@@ -1,6 +1,6 @@
 //! In-trees (reductions) and out-trees (broadcasts).
 
-use crate::graph::TaskGraph;
+use crate::graph::{unit_tasks, TaskGraph};
 
 /// Number of nodes of a complete `arity`-ary tree with `depth` levels
 /// (depth 1 = a single root).
@@ -25,18 +25,18 @@ pub fn out_tree(depth: usize, arity: usize) -> TaskGraph {
     assert!(depth >= 1, "tree needs at least one level");
     assert!(arity >= 1, "tree needs arity >= 1");
     let n = tree_size(depth, arity);
-    let mut g = TaskGraph::unit(n);
+    let mut edges = Vec::with_capacity(n);
     // Nodes are numbered level by level; node i's children are
     // arity*i + 1 .. arity*i + arity (heap numbering).
     for i in 0..n {
         for c in 1..=arity {
             let child = arity * i + c;
             if child < n {
-                g.add_edge(i, child).expect("valid index");
+                edges.push((i, child));
             }
         }
     }
-    g
+    TaskGraph::from_edges(unit_tasks(n), &edges).expect("valid generator edges")
 }
 
 /// A complete in-tree (reduction): leaves precede internal nodes, the root
@@ -46,16 +46,16 @@ pub fn in_tree(depth: usize, arity: usize) -> TaskGraph {
     assert!(depth >= 1, "tree needs at least one level");
     assert!(arity >= 1, "tree needs arity >= 1");
     let n = tree_size(depth, arity);
-    let mut g = TaskGraph::unit(n);
+    let mut edges = Vec::with_capacity(n);
     for i in 0..n {
         for c in 1..=arity {
             let child = arity * i + c;
             if child < n {
-                g.add_edge(child, i).expect("valid index");
+                edges.push((child, i));
             }
         }
     }
-    g
+    TaskGraph::from_edges(unit_tasks(n), &edges).expect("valid generator edges")
 }
 
 #[cfg(test)]

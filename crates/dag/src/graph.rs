@@ -1,51 +1,79 @@
-//! The task-graph adjacency structure and DAG instances.
+//! The task-graph structure and DAG instances — the one place raw
+//! precedence edges enter the crate.
 
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 use sws_model::error::ModelError;
 use sws_model::task::{Task, TaskSet};
+use sws_model::validate::CsrPreds;
+
+use crate::csr::CsrDag;
 
 /// A directed task graph: tasks (with processing time and storage
 /// requirement) plus precedence edges `u → v` meaning "v cannot start
 /// before u completes".
 ///
-/// The structure stores both predecessor and successor adjacency lists so
-/// the list scheduler can query readiness in O(in-degree).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The adjacency lives in one flat [`CsrDag`] (both directions, `u32`
+/// indices), built once from the edge list and shared behind an `Arc`
+/// with every [`DagInstance`] and scheduling run over the graph.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskGraph {
     tasks: TaskSet,
-    preds: Vec<Vec<usize>>,
-    succs: Vec<Vec<usize>>,
-    edge_count: usize,
+    csr: Arc<CsrDag>,
+}
+
+/// `n` unit tasks (`p = s = 1`).
+pub(crate) fn unit_tasks(n: usize) -> TaskSet {
+    let mut tasks = TaskSet::default();
+    for _ in 0..n {
+        tasks.push(Task::new_unchecked(1.0, 1.0));
+    }
+    tasks
+}
+
+/// Refuses graphs whose task or edge count does not fit the flat form's
+/// `u32` indices (task index `u32::MAX` stays free as a sentinel).
+pub(crate) fn check_u32_indexable(n: usize, edges: usize) -> Result<(), ModelError> {
+    if n < u32::MAX as usize && edges <= u32::MAX as usize {
+        Ok(())
+    } else {
+        Err(ModelError::GraphTooLarge { n, edges })
+    }
 }
 
 impl TaskGraph {
     /// Creates a graph with the given tasks and no edges.
     pub fn new(tasks: TaskSet) -> Self {
-        let n = tasks.len();
-        TaskGraph {
-            tasks,
-            preds: vec![Vec::new(); n],
-            succs: vec![Vec::new(); n],
-            edge_count: 0,
-        }
+        let csr = Arc::new(CsrDag::from_valid_edges(&tasks, &[]));
+        TaskGraph { tasks, csr }
     }
 
     /// Creates a graph of `n` unit tasks (`p = s = 1`) and no edges;
     /// convenient for structural tests.
     pub fn unit(n: usize) -> Self {
-        let tasks = TaskSet::new(vec![Task::new_unchecked(1.0, 1.0); n])
-            .expect("unit tasks are always valid");
-        TaskGraph::new(tasks)
+        TaskGraph::new(unit_tasks(n))
     }
 
-    /// Builds a graph from tasks and an edge list.
+    /// Builds a graph from tasks and an edge list `(u, v)` ("`v` waits for
+    /// `u`") in `O(n + E)`. The first bad edge fails the build: an endpoint
+    /// `>= n` is [`ModelError::EdgeOutOfRange`], a self-loop
+    /// [`ModelError::CyclicPrecedence`] (longer cycles are left to
+    /// [`DagInstance::new`]); too many edges for `u32` indices is
+    /// [`ModelError::GraphTooLarge`]. A repeated edge is dropped, and every
+    /// adjacency list keeps the order in which its edges first appear.
     pub fn from_edges(tasks: TaskSet, edges: &[(usize, usize)]) -> Result<Self, ModelError> {
-        let mut g = TaskGraph::new(tasks);
-        for &(u, v) in edges {
-            g.add_edge(u, v)?;
+        let n = tasks.len();
+        check_u32_indexable(n, edges.len())?;
+        for &(from, to) in edges {
+            if from >= n || to >= n {
+                return Err(ModelError::EdgeOutOfRange { from, to, n });
+            }
+            if from == to {
+                return Err(ModelError::CyclicPrecedence);
+            }
         }
-        Ok(g)
+        let csr = Arc::new(CsrDag::from_valid_edges(&tasks, edges));
+        Ok(TaskGraph { tasks, csr })
     }
 
     /// Number of tasks.
@@ -57,7 +85,7 @@ impl TaskGraph {
     /// Number of edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.csr.edge_count()
     }
 
     /// The task set.
@@ -74,90 +102,53 @@ impl TaskGraph {
 
     /// Predecessors of task `i`.
     #[inline]
-    pub fn preds(&self, i: usize) -> &[usize] {
-        &self.preds[i]
+    pub fn preds(&self, i: usize) -> &[u32] {
+        self.csr.preds(i)
     }
 
     /// Successors of task `i`.
     #[inline]
-    pub fn succs(&self, i: usize) -> &[usize] {
-        &self.succs[i]
+    pub fn succs(&self, i: usize) -> &[u32] {
+        self.csr.succs(i)
     }
 
-    /// The full predecessor lists, in the shape expected by
-    /// `sws_model::validate::validate_timed`.
+    /// The full predecessor lists, as the borrowed CSR view
+    /// `sws_model::validate::validate_timed` accepts.
     #[inline]
-    pub fn all_preds(&self) -> &[Vec<usize>] {
-        &self.preds
+    pub fn all_preds(&self) -> CsrPreds<'_> {
+        self.csr.pred_lists()
     }
 
-    /// Adds the precedence edge `u → v`. Self-loops are rejected; parallel
-    /// edges are ignored (idempotent).
-    pub fn add_edge(&mut self, u: usize, v: usize) -> Result<(), ModelError> {
-        let n = self.n();
-        if u >= n {
-            return Err(ModelError::ProcessorOutOfRange {
-                task: u,
-                proc: u,
-                m: n,
-            });
-        }
-        if v >= n {
-            return Err(ModelError::ProcessorOutOfRange {
-                task: v,
-                proc: v,
-                m: n,
-            });
-        }
-        if u == v {
-            return Err(ModelError::CyclicPrecedence);
-        }
-        if self.succs[u].contains(&v) {
-            return Ok(());
-        }
-        self.succs[u].push(v);
-        self.preds[v].push(u);
-        self.edge_count += 1;
-        Ok(())
-    }
-
-    /// Iterates over every edge `(u, v)`.
+    /// Iterates over every edge `(u, v)`, grouped by `u` in index order.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.succs
-            .iter()
-            .enumerate()
-            .flat_map(|(u, vs)| vs.iter().map(move |&v| (u, v)))
+        (0..self.n()).flat_map(move |u| self.succs(u).iter().map(move |&v| (u, v as usize)))
     }
 
     /// Tasks with no predecessors.
     pub fn sources(&self) -> Vec<usize> {
-        (0..self.n())
-            .filter(|&i| self.preds[i].is_empty())
-            .collect()
+        (0..self.n()).filter(|&i| self.in_degree(i) == 0).collect()
     }
 
     /// Tasks with no successors.
     pub fn sinks(&self) -> Vec<usize> {
-        (0..self.n())
-            .filter(|&i| self.succs[i].is_empty())
-            .collect()
+        (0..self.n()).filter(|&i| self.out_degree(i) == 0).collect()
     }
 
     /// In-degree of task `i`.
     #[inline]
     pub fn in_degree(&self, i: usize) -> usize {
-        self.preds[i].len()
+        self.csr.in_degree(i)
     }
 
     /// Out-degree of task `i`.
     #[inline]
     pub fn out_degree(&self, i: usize) -> usize {
-        self.succs[i].len()
+        self.csr.out_degree(i)
     }
 
     /// Whether the graph has no edges at all (independent tasks).
     pub fn is_independent(&self) -> bool {
-        self.edge_count == 0
+        self.edge_count() == 0
     }
 
     /// A topological order of the tasks, or an error if the graph has a
@@ -172,79 +163,34 @@ impl TaskGraph {
         crate::levels::critical_path(self)
     }
 
-    /// Flattens the graph into the kernel-friendly CSR form
-    /// ([`crate::csr::CsrDag`]). Build it once per instance and share it
-    /// across runs — the flat mirror is immutable.
-    pub fn csr(&self) -> crate::csr::CsrDag {
-        crate::csr::CsrDag::from_graph(self)
+    /// The graph's flat form, shared with every instance and run built
+    /// over it.
+    #[inline]
+    pub fn shared_csr(&self) -> &Arc<CsrDag> {
+        &self.csr
+    }
+
+    /// An owned copy of the flat form, for callers that mutate it
+    /// (`CsrDag::apply_delta`); read-only callers borrow
+    /// [`TaskGraph::shared_csr`] instead.
+    pub fn csr(&self) -> CsrDag {
+        CsrDag::clone(&self.csr)
     }
 
     /// Returns a copy of the graph with new task costs but the same
-    /// structure. `f(i)` provides the task for node `i`.
-    pub fn with_costs<F: FnMut(usize) -> Task>(&self, f: F) -> TaskGraph {
-        let tasks: Vec<Task> = (0..self.n()).map(f).collect();
-        let tasks = TaskSet::new(tasks).expect("cost function produced invalid task");
-        TaskGraph {
-            tasks,
-            preds: self.preds.clone(),
-            succs: self.succs.clone(),
-            edge_count: self.edge_count,
-        }
-    }
-
-    /// The transitive reduction is not needed by the algorithms, but the
-    /// generators occasionally produce redundant edges; this removes any
-    /// edge `u → v` for which a longer path `u ⇝ v` exists. Runs in
-    /// O(n·(n+e)) which is fine for generator-sized graphs.
-    pub fn transitive_reduction(&self) -> TaskGraph {
-        let order = self
-            .topological_order()
-            .expect("transitive reduction requires an acyclic graph");
-        let n = self.n();
-        // reach[u] = set of vertices reachable from u via paths of length >= 2
-        // computed bottom-up in reverse topological order.
-        let mut reach: Vec<Vec<bool>> = vec![vec![false; n]; n];
-        for &u in order.iter().rev() {
-            for &v in &self.succs[u] {
-                // everything reachable from v is reachable from u via >= 2 hops
-                let (ru, rv) = {
-                    // split borrow
-                    let (a, b) = if u < v {
-                        let (l, r) = reach.split_at_mut(v);
-                        (&mut l[u], &r[0])
-                    } else {
-                        let (l, r) = reach.split_at_mut(u);
-                        (&mut r[0], &l[v])
-                    };
-                    (a, b)
-                };
-                for w in 0..n {
-                    if rv[w] {
-                        ru[w] = true;
-                    }
-                }
-                ru[v] = true;
-            }
-        }
-        // An edge u -> v is redundant if some other successor w of u reaches v.
-        let mut reduced = TaskGraph::new(self.tasks.clone());
-        for u in 0..n {
-            for &v in &self.succs[u] {
-                let redundant = self.succs[u].iter().any(|&w| w != v && reach[w][v]);
-                if !redundant {
-                    reduced
-                        .add_edge(u, v)
-                        .expect("edge indices already validated");
-                }
-            }
-        }
-        reduced
+    /// structure: `f(i)` provides the task for node `i`. Fails with the
+    /// first invalid cost, like `TaskSet::new`. The adjacency arrays are
+    /// copied, not rebuilt; only the costs and their quantization are.
+    pub fn with_costs<F: FnMut(usize) -> Task>(&self, f: F) -> Result<TaskGraph, ModelError> {
+        let tasks = TaskSet::new((0..self.n()).map(f).collect())?;
+        let csr = Arc::new(self.csr.with_costs(&tasks));
+        Ok(TaskGraph { tasks, csr })
     }
 }
 
 /// A precedence-constrained instance: a task graph plus the number of
 /// identical processors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DagInstance {
     graph: TaskGraph,
     m: usize,
@@ -268,8 +214,7 @@ impl DagInstance {
         if m == 0 {
             return Err(ModelError::NoProcessors);
         }
-        let order = crate::topo::topological_order(&graph)?;
-        let critical_path = crate::levels::bottom_levels_with_order(&graph, &order)
+        let critical_path = crate::levels::checked_bottom_levels(&graph)?
             .into_iter()
             .fold(0.0, f64::max);
         let tasks = graph.tasks();
@@ -344,17 +289,20 @@ impl DagInstance {
     /// SBO∆ comparison baselines.
     pub fn relaxation(&self) -> sws_model::Instance {
         sws_model::Instance::new(self.graph.tasks().clone(), self.m)
+            // sws-lint: allow(panic-policy, reason = "m > 0 is checked by DagInstance::new")
             .expect("m > 0 checked at construction")
     }
 
-    /// Returns a copy with a different processor count.
-    pub fn with_processors(&self, m: usize) -> Result<DagInstance, ModelError> {
-        DagInstance::new(self.graph.clone(), m)
+    /// The instance's flat form, built once with the graph and shared:
+    /// hand it (or a clone of the `Arc`) to every run over the instance.
+    #[inline]
+    pub fn shared_csr(&self) -> &Arc<CsrDag> {
+        self.graph.shared_csr()
     }
 
-    /// Flattens the instance's graph into the kernel-friendly CSR form
+    /// An owned copy of the flat form, for callers that mutate it
     /// (see [`TaskGraph::csr`]).
-    pub fn csr(&self) -> crate::csr::CsrDag {
+    pub fn csr(&self) -> CsrDag {
         self.graph.csr()
     }
 }
@@ -362,7 +310,7 @@ impl DagInstance {
 /// The solver-layer view of a precedence-constrained instance: lets a
 /// [`DagInstance`] travel inside `sws_model::solve::SolveRequest`.
 /// DAG-aware backends recover the concrete type through `as_any` and
-/// reuse the instance's CSR mirror without rebuilding the graph.
+/// reuse the instance's shared flat form without rebuilding the graph.
 impl sws_model::solve::PrecedenceInstance for DagInstance {
     fn tasks(&self) -> &TaskSet {
         self.graph.tasks()
@@ -372,7 +320,7 @@ impl sws_model::solve::PrecedenceInstance for DagInstance {
         self.m
     }
 
-    fn preds(&self) -> &[Vec<usize>] {
+    fn preds(&self) -> CsrPreds<'_> {
         self.graph.all_preds()
     }
 
@@ -387,12 +335,7 @@ mod tests {
 
     fn diamond() -> TaskGraph {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3
-        let mut g = TaskGraph::unit(4);
-        g.add_edge(0, 1).unwrap();
-        g.add_edge(0, 2).unwrap();
-        g.add_edge(1, 3).unwrap();
-        g.add_edge(2, 3).unwrap();
-        g
+        TaskGraph::from_edges(unit_tasks(4), &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap()
     }
 
     #[test]
@@ -409,18 +352,52 @@ mod tests {
 
     #[test]
     fn parallel_edges_are_idempotent() {
-        let mut g = TaskGraph::unit(2);
-        g.add_edge(0, 1).unwrap();
-        g.add_edge(0, 1).unwrap();
+        let g = TaskGraph::from_edges(unit_tasks(2), &[(0, 1), (0, 1)]).unwrap();
         assert_eq!(g.edge_count(), 1);
     }
 
     #[test]
     fn self_loops_and_out_of_range_edges_are_rejected() {
-        let mut g = TaskGraph::unit(2);
-        assert!(g.add_edge(0, 0).is_err());
-        assert!(g.add_edge(0, 5).is_err());
-        assert!(g.add_edge(7, 1).is_err());
+        let build = |edges: &[(usize, usize)]| TaskGraph::from_edges(unit_tasks(2), edges);
+        assert_eq!(build(&[(0, 0)]), Err(ModelError::CyclicPrecedence));
+        assert_eq!(
+            build(&[(0, 5)]),
+            Err(ModelError::EdgeOutOfRange {
+                from: 0,
+                to: 5,
+                n: 2
+            })
+        );
+        assert_eq!(
+            build(&[(7, 1)]),
+            Err(ModelError::EdgeOutOfRange {
+                from: 7,
+                to: 1,
+                n: 2
+            })
+        );
+        // The first bad edge in list order decides the error.
+        assert_eq!(
+            build(&[(0, 1), (1, 1), (0, 9)]),
+            Err(ModelError::CyclicPrecedence)
+        );
+    }
+
+    #[test]
+    fn graphs_past_u32_indexing_are_a_typed_error() {
+        let max = u32::MAX as usize;
+        assert_eq!(check_u32_indexable(max - 1, max), Ok(()));
+        assert_eq!(
+            check_u32_indexable(max, 0),
+            Err(ModelError::GraphTooLarge { n: max, edges: 0 })
+        );
+        assert_eq!(
+            check_u32_indexable(3, max + 1),
+            Err(ModelError::GraphTooLarge {
+                n: 3,
+                edges: max + 1
+            })
+        );
     }
 
     #[test]
@@ -434,19 +411,38 @@ mod tests {
     #[test]
     fn with_costs_preserves_structure() {
         let g = diamond();
-        let g2 = g.with_costs(|i| Task::new_unchecked(i as f64 + 1.0, 2.0));
+        let g2 = g
+            .with_costs(|i| Task::new_unchecked(i as f64 + 1.0, 2.0))
+            .unwrap();
         assert_eq!(g2.edge_count(), g.edge_count());
         assert_eq!(g2.task(2).p, 3.0);
         assert_eq!(g2.task(2).s, 2.0);
+        assert_eq!(g2.shared_csr().p(2), 3.0);
+        assert!(g2.edges().eq(g.edges()));
+    }
+
+    #[test]
+    fn with_costs_rejects_an_invalid_cost() {
+        let g = diamond();
+        let nan = g.with_costs(|i| Task::new_unchecked(if i == 2 { f64::NAN } else { 1.0 }, 1.0));
+        assert!(matches!(
+            nan,
+            Err(ModelError::InvalidProcessingTime { task: 2, value }) if value.is_nan()
+        ));
+        let negative = g.with_costs(|_| Task::new_unchecked(1.0, -1.0));
+        assert_eq!(
+            negative,
+            Err(ModelError::InvalidStorage {
+                task: 0,
+                value: -1.0
+            })
+        );
     }
 
     #[test]
     fn transitive_reduction_removes_shortcut_edges() {
         // 0 -> 1 -> 2 plus the redundant shortcut 0 -> 2.
-        let mut g = TaskGraph::unit(3);
-        g.add_edge(0, 1).unwrap();
-        g.add_edge(1, 2).unwrap();
-        g.add_edge(0, 2).unwrap();
+        let g = TaskGraph::from_edges(unit_tasks(3), &[(0, 1), (1, 2), (0, 2)]).unwrap();
         let r = g.transitive_reduction();
         let mut edges: Vec<(usize, usize)> = r.edges().collect();
         edges.sort();
@@ -465,6 +461,20 @@ mod tests {
         let g = diamond();
         assert!(DagInstance::new(g.clone(), 0).is_err());
         assert!(DagInstance::new(g, 2).is_ok());
+        let cyclic = TaskGraph::from_edges(unit_tasks(3), &[(0, 1), (1, 2), (2, 0)]).unwrap();
+        assert_eq!(
+            DagInstance::new(cyclic, 2),
+            Err(ModelError::CyclicPrecedence)
+        );
+    }
+
+    #[test]
+    fn dag_instance_shares_the_graphs_flat_form() {
+        let g = diamond();
+        let inst = DagInstance::new(g.clone(), 2).unwrap();
+        assert!(Arc::ptr_eq(inst.shared_csr(), g.shared_csr()));
+        assert_eq!(inst.csr(), **g.shared_csr());
+        assert_eq!(inst.critical_path_length(), 3.0);
     }
 
     #[test]
@@ -477,9 +487,13 @@ mod tests {
 
     #[test]
     fn from_edges_builds_the_same_graph_as_incremental_insertion() {
+        // Inserting the same edges with repeats gives the same graph.
         let a = diamond();
-        let b =
-            TaskGraph::from_edges(a.tasks().clone(), &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
+        let b = TaskGraph::from_edges(
+            a.tasks().clone(),
+            &[(0, 1), (0, 2), (0, 1), (1, 3), (2, 3), (1, 3)],
+        )
+        .unwrap();
         assert_eq!(a, b);
     }
 

@@ -77,13 +77,35 @@ impl KeyTable {
     /// refusal path is testable without materializing 2³² floats. The
     /// effective limit never exceeds [`KeyTable::DEFAULT_LIMIT`].
     pub fn build_with_limit<I: IntoIterator<Item = f64>>(costs: I, limit: usize) -> Option<Self> {
-        let mut keys: Vec<u64> = costs.into_iter().map(order_key).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        if keys.len() > limit.min(Self::DEFAULT_LIMIT) {
-            return None;
+        Self::build_ranked(costs, limit).map(|(table, _)| table)
+    }
+
+    /// [`KeyTable::build_with_limit`] that also ranks every input value:
+    /// `ranks[i]` is the rank of the `i`-th value of `costs`, handed out
+    /// while one sort of `(key, position)` pairs is deduplicated.
+    pub(crate) fn build_ranked<I: IntoIterator<Item = f64>>(
+        costs: I,
+        limit: usize,
+    ) -> Option<(Self, Vec<u32>)> {
+        let mut pairs: Vec<(u64, usize)> = costs
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| (order_key(v), i))
+            .collect();
+        pairs.sort_unstable_by_key(|&(k, _)| k);
+        let limit = limit.min(Self::DEFAULT_LIMIT);
+        let mut keys: Vec<u64> = Vec::new();
+        let mut ranks = vec![0u32; pairs.len()];
+        for &(k, i) in &pairs {
+            if keys.last() != Some(&k) {
+                if keys.len() == limit {
+                    return None;
+                }
+                keys.push(k);
+            }
+            ranks[i] = (keys.len() - 1) as u32;
         }
-        Some(KeyTable { keys })
+        Some((KeyTable { keys }, ranks))
     }
 
     /// Number of distinct values in the table.
@@ -188,6 +210,18 @@ mod tests {
         for v in vals {
             assert_eq!(t.value_of(t.rank_of(v).unwrap()), v);
         }
+    }
+
+    #[test]
+    fn ranked_build_matches_per_value_lookup() {
+        let vals = [3.0, -0.0, 1.0, 2.0, 1.0, 0.0, 3.0, -1.5];
+        let (t, ranks) = KeyTable::build_ranked(vals, KeyTable::DEFAULT_LIMIT).unwrap();
+        assert_eq!(t, KeyTable::build(vals).unwrap());
+        for (v, r) in vals.iter().zip(&ranks) {
+            assert_eq!(t.rank_of(*v), Some(*r), "{v}");
+        }
+        assert!(KeyTable::build_ranked(vals, 4).is_none());
+        assert!(KeyTable::build_ranked(vals, 5).is_some());
     }
 
     #[test]

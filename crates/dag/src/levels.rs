@@ -4,6 +4,8 @@
 //! lower bound used in the proof of Lemma 5 of the paper: no schedule can
 //! finish before the longest chain has executed sequentially.
 
+use sws_model::error::ModelError;
+
 use crate::graph::TaskGraph;
 
 /// Top level of each task: the length of the longest path *ending just
@@ -17,6 +19,7 @@ pub fn top_levels(graph: &TaskGraph) -> Vec<f64> {
     for &u in &order {
         let end_u = top[u] + graph.task(u).p;
         for &v in graph.succs(u) {
+            let v = v as usize;
             if end_u > top[v] {
                 top[v] = end_u;
             }
@@ -29,26 +32,25 @@ pub fn top_levels(graph: &TaskGraph) -> Vec<f64> {
 /// the task, including the task's own processing time. This is the classic
 /// priority used by critical-path list scheduling (HLF).
 pub fn bottom_levels(graph: &TaskGraph) -> Vec<f64> {
-    let order = graph
-        .topological_order()
-        .expect("bottom levels require an acyclic graph");
-    bottom_levels_with_order(graph, &order)
+    checked_bottom_levels(graph).expect("bottom levels require an acyclic graph")
 }
 
-/// [`bottom_levels`] over an already-computed topological order — lets
-/// callers that validated acyclicity (and therefore hold an order)
-/// avoid a second graph traversal.
-pub fn bottom_levels_with_order(graph: &TaskGraph, order: &[usize]) -> Vec<f64> {
+/// [`bottom_levels`], or [`ModelError::CyclicPrecedence`] — the cycle
+/// check and the `|CP|` bound of [`crate::DagInstance::new`] in one
+/// pass. Each task takes the maximum over its successors in list order,
+/// so the bits do not depend on which topological order feeds the pass.
+pub(crate) fn checked_bottom_levels(graph: &TaskGraph) -> Result<Vec<f64>, ModelError> {
+    let order = graph.topological_order()?;
     let mut bottom = vec![0.0f64; graph.n()];
     for &u in order.iter().rev() {
         let best_succ = graph
             .succs(u)
             .iter()
-            .map(|&v| bottom[v])
+            .map(|&v| bottom[v as usize])
             .fold(0.0f64, f64::max);
         bottom[u] = graph.task(u).p + best_succ;
     }
-    bottom
+    Ok(bottom)
 }
 
 /// Length of the critical path: the longest chain of processing times in
@@ -82,7 +84,7 @@ pub fn critical_path_tasks(graph: &TaskGraph) -> Vec<usize> {
         let next = graph
             .succs(current)
             .iter()
-            .copied()
+            .map(|&v| v as usize)
             .find(|&v| sws_model::numeric::approx_eq(bottom[v], expected));
         match next {
             Some(v) => {
@@ -106,6 +108,7 @@ pub fn depth(graph: &TaskGraph) -> usize {
     let mut best = if graph.n() == 0 { 0 } else { 1 };
     for &u in &order {
         for &v in graph.succs(u) {
+            let v = v as usize;
             if d[u] + 1 > d[v] {
                 d[v] = d[u] + 1;
                 best = best.max(d[v]);
@@ -174,10 +177,8 @@ mod tests {
     fn depth_counts_tasks_not_time() {
         let g = weighted_diamond();
         assert_eq!(depth(&g), 3);
-        let mut chain = TaskGraph::unit(5);
-        for i in 0..4 {
-            chain.add_edge(i, i + 1).unwrap();
-        }
+        let edges: Vec<(usize, usize)> = (0..4).map(|i| (i, i + 1)).collect();
+        let chain = TaskGraph::from_edges(TaskGraph::unit(5).tasks().clone(), &edges).unwrap();
         assert_eq!(depth(&chain), 5);
     }
 

@@ -6,8 +6,10 @@
 //!
 //! The crate is self-contained (no external graph library):
 //!
-//! * [`graph`] — the [`TaskGraph`] adjacency structure and
-//!   [`DagInstance`] (graph + processor count),
+//! * [`graph`] — [`TaskGraph`] (tasks plus edges, built once from an
+//!   edge list) and [`DagInstance`] (graph + processor count),
+//! * [`csr`] — [`CsrDag`], the one flat adjacency form every graph,
+//!   instance and scheduling run shares,
 //! * [`topo`] — topological ordering and cycle detection,
 //! * [`levels`] — top/bottom levels and the critical-path lower bound,
 //! * [`analysis`] — structural statistics (depth, width, degrees),
@@ -24,13 +26,14 @@
 //!
 //! // A small fork-join: 0 -> {1,2} -> 3.
 //! let tasks = TaskSet::new(vec![Task::new_unchecked(1.0, 1.0); 4]).unwrap();
-//! let mut g = TaskGraph::new(tasks);
-//! g.add_edge(0, 1).unwrap();
-//! g.add_edge(0, 2).unwrap();
-//! g.add_edge(1, 3).unwrap();
-//! g.add_edge(2, 3).unwrap();
+//! let g = TaskGraph::from_edges(tasks, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
+//! assert_eq!(g.succs(0), &[1, 2]);
 //! assert!(g.topological_order().is_ok());
 //! assert_eq!(g.critical_path_length(), 3.0);
+//!
+//! // The instance shares the graph's flat form instead of rebuilding it.
+//! let inst = DagInstance::new(g, 2).unwrap();
+//! assert_eq!(inst.shared_csr().edge_count(), 4);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -4,27 +4,25 @@ use sws_model::error::ModelError;
 
 use crate::graph::TaskGraph;
 
-/// Computes a topological order of the task graph using Kahn's algorithm.
-/// Among ready tasks the one with the smallest index is emitted first, so
-/// the order is deterministic.
+/// Computes a topological order of the task graph by Kahn's algorithm
+/// with a FIFO ready queue: sources in index order, then each task as
+/// its last predecessor is emitted. Deterministic, and `O(n + E)` on the
+/// flat form.
 ///
 /// Returns [`ModelError::CyclicPrecedence`] if the graph has a cycle.
 pub fn topological_order(graph: &TaskGraph) -> Result<Vec<usize>, ModelError> {
     let n = graph.n();
     let mut in_deg: Vec<usize> = (0..n).map(|i| graph.in_degree(i)).collect();
-    // A binary heap would give O(e log n); a sorted ready list kept as a
-    // BinaryHeap of Reverse(index) keeps determinism with small overhead.
-    let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<usize>> = (0..n)
-        .filter(|&i| in_deg[i] == 0)
-        .map(std::cmp::Reverse)
-        .collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(std::cmp::Reverse(u)) = ready.pop() {
-        order.push(u);
+    let mut order: Vec<usize> = (0..n).filter(|&i| in_deg[i] == 0).collect();
+    order.reserve(n - order.len());
+    let mut head = 0;
+    while let Some(&u) = order.get(head) {
+        head += 1;
         for &v in graph.succs(u) {
+            let v = v as usize;
             in_deg[v] -= 1;
             if in_deg[v] == 0 {
-                ready.push(std::cmp::Reverse(v));
+                order.push(v);
             }
         }
     }
@@ -59,14 +57,15 @@ pub fn is_topological_order(graph: &TaskGraph, order: &[usize]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::TaskGraph;
+    use crate::graph::{unit_tasks, TaskGraph};
+
+    fn graph(n: usize, edges: &[(usize, usize)]) -> TaskGraph {
+        TaskGraph::from_edges(unit_tasks(n), edges).unwrap()
+    }
 
     #[test]
     fn chain_is_ordered_front_to_back() {
-        let mut g = TaskGraph::unit(4);
-        g.add_edge(0, 1).unwrap();
-        g.add_edge(1, 2).unwrap();
-        g.add_edge(2, 3).unwrap();
+        let g = graph(4, &[(0, 1), (1, 2), (2, 3)]);
         let order = topological_order(&g).unwrap();
         assert_eq!(order, vec![0, 1, 2, 3]);
         assert!(is_topological_order(&g, &order));
@@ -74,10 +73,7 @@ mod tests {
 
     #[test]
     fn cycle_is_detected() {
-        let mut g = TaskGraph::unit(3);
-        g.add_edge(0, 1).unwrap();
-        g.add_edge(1, 2).unwrap();
-        g.add_edge(2, 0).unwrap();
+        let g = graph(3, &[(0, 1), (1, 2), (2, 0)]);
         assert!(matches!(
             topological_order(&g),
             Err(ModelError::CyclicPrecedence)
@@ -93,22 +89,17 @@ mod tests {
 
     #[test]
     fn order_respects_every_edge_of_a_diamond() {
-        let mut g = TaskGraph::unit(4);
         // Reverse-looking indices: 3 -> 1, 3 -> 2, 1 -> 0, 2 -> 0.
-        g.add_edge(3, 1).unwrap();
-        g.add_edge(3, 2).unwrap();
-        g.add_edge(1, 0).unwrap();
-        g.add_edge(2, 0).unwrap();
+        let g = graph(4, &[(3, 1), (3, 2), (1, 0), (2, 0)]);
         let order = topological_order(&g).unwrap();
         assert!(is_topological_order(&g, &order));
         assert_eq!(order[0], 3);
-        assert_eq!(order[3], 0);
+        assert_eq!(order, vec![3, 1, 2, 0]);
     }
 
     #[test]
     fn validator_rejects_bad_orders() {
-        let mut g = TaskGraph::unit(3);
-        g.add_edge(0, 1).unwrap();
+        let g = graph(3, &[(0, 1)]);
         assert!(!is_topological_order(&g, &[1, 0, 2]));
         assert!(!is_topological_order(&g, &[0, 1]));
         assert!(!is_topological_order(&g, &[0, 0, 1]));

@@ -1,7 +1,8 @@
 //! Property-based tests of the task-graph substrate: every generator
 //! yields a structurally sound acyclic graph, topological orders are
 //! valid, and the level/critical-path computations are mutually
-//! consistent.
+//! consistent. The flat builder is checked against a nested-list
+//! reference model, and the generated workloads against pinned digests.
 
 use proptest::prelude::*;
 
@@ -18,7 +19,11 @@ use sws_dag::generators::lu::lu_factorization;
 use sws_dag::generators::tree::{in_tree, out_tree};
 use sws_dag::levels::{bottom_levels, critical_path, critical_path_tasks, depth, top_levels};
 use sws_dag::topo::{is_acyclic, is_topological_order, topological_order};
-use sws_dag::TaskGraph;
+use sws_dag::{DagInstance, TaskGraph};
+use sws_model::error::ModelError;
+use sws_model::task::TaskSet;
+use sws_workloads::dagsets::{dag_workload, storage_heavy_staged, DagFamily};
+use sws_workloads::{seeded_rng, TaskDistribution};
 
 /// Checks the invariants every generated graph must satisfy.
 fn check_graph(graph: &TaskGraph) {
@@ -135,11 +140,10 @@ fn transitive_reduction_preserves_reachability_structure() {
 #[test]
 fn cycles_are_rejected() {
     let tasks = sws_model::task::TaskSet::from_ps(&[1.0; 3], &[1.0; 3]).unwrap();
-    let mut g = TaskGraph::from_edges(tasks, &[(0, 1), (1, 2)]).unwrap();
-    // Adding the closing edge either fails immediately or is caught by the
-    // acyclicity check / topological sort.
-    let closed = g.add_edge(2, 0);
-    if closed.is_ok() {
+    // The closing edge either fails the build immediately or is caught by
+    // the acyclicity check / topological sort.
+    let closed = TaskGraph::from_edges(tasks, &[(0, 1), (1, 2), (2, 0)]);
+    if let Ok(g) = closed {
         assert!(!is_acyclic(&g));
         assert!(topological_order(&g).is_err());
     }
@@ -191,7 +195,9 @@ proptest! {
     #[test]
     fn with_costs_preserves_structure(k in 2usize..8, cost in 0.5f64..10.0) {
         let g = gaussian_elimination(k);
-        let relabelled = g.with_costs(|_| sws_model::task::Task { p: cost, s: cost * 2.0 });
+        let relabelled = g
+            .with_costs(|_| sws_model::task::Task { p: cost, s: cost * 2.0 })
+            .unwrap();
         prop_assert_eq!(relabelled.n(), g.n());
         prop_assert_eq!(relabelled.edge_count(), g.edge_count());
         check_graph(&relabelled);
@@ -199,6 +205,218 @@ proptest! {
             prop_assert!((relabelled.task(i).p - cost).abs() < 1e-12);
             prop_assert!((relabelled.task(i).s - 2.0 * cost).abs() < 1e-12);
         }
+    }
+}
+
+/// The adjacency a graph built edge by edge into nested lists would
+/// have: endpoints checked first (out of range, then self-loop), a
+/// repeated edge skipped by a search of the source's successor list.
+struct Nested {
+    preds: Vec<Vec<usize>>,
+    succs: Vec<Vec<usize>>,
+}
+
+impl Nested {
+    fn build(n: usize, edges: &[(usize, usize)]) -> Result<Nested, ModelError> {
+        let mut g = Nested {
+            preds: vec![Vec::new(); n],
+            succs: vec![Vec::new(); n],
+        };
+        for &(u, v) in edges {
+            if u >= n || v >= n {
+                return Err(ModelError::EdgeOutOfRange { from: u, to: v, n });
+            }
+            if u == v {
+                return Err(ModelError::CyclicPrecedence);
+            }
+            if !g.succs[u].contains(&v) {
+                g.succs[u].push(v);
+                g.preds[v].push(u);
+            }
+        }
+        Ok(g)
+    }
+
+    /// Kahn order with a FIFO ready queue seeded by the sources in index
+    /// order, `None` on a cycle.
+    fn topological_order(&self) -> Option<Vec<usize>> {
+        let n = self.preds.len();
+        let mut in_deg: Vec<usize> = self.preds.iter().map(Vec::len).collect();
+        let mut ready: std::collections::VecDeque<usize> =
+            (0..n).filter(|&i| in_deg[i] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(u) = ready.pop_front() {
+            order.push(u);
+            for &v in &self.succs[u] {
+                in_deg[v] -= 1;
+                if in_deg[v] == 0 {
+                    ready.push_back(v);
+                }
+            }
+        }
+        (order.len() == n).then_some(order)
+    }
+
+    /// Longest chain of processing times: bottom levels over the reverse
+    /// of a smallest-index-first Kahn order (a different order from the
+    /// one under test, which must not change the bits).
+    fn critical_path(&self, p: &[f64]) -> f64 {
+        use std::cmp::Reverse;
+        let n = self.preds.len();
+        let mut in_deg: Vec<usize> = self.preds.iter().map(Vec::len).collect();
+        let mut ready: std::collections::BinaryHeap<Reverse<usize>> =
+            (0..n).filter(|&i| in_deg[i] == 0).map(Reverse).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(Reverse(u)) = ready.pop() {
+            order.push(u);
+            for &v in &self.succs[u] {
+                in_deg[v] -= 1;
+                if in_deg[v] == 0 {
+                    ready.push(Reverse(v));
+                }
+            }
+        }
+        let mut bottom = vec![0.0f64; p.len()];
+        for &u in order.iter().rev() {
+            let best = self.succs[u]
+                .iter()
+                .map(|&v| bottom[v])
+                .fold(0.0f64, f64::max);
+            bottom[u] = p[u] + best;
+        }
+        bottom.into_iter().fold(0.0, f64::max)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `from_edges` and instance analysis on the flat form agree with the
+    /// nested reference on random edge lists: repeats, any order,
+    /// self-loops, out-of-range endpoints and cycles included.
+    #[test]
+    fn flat_build_matches_the_nested_reference(
+        n in 1usize..40,
+        raw in proptest::collection::vec((0usize..64, 0usize..64), 0..160),
+        mode in 0u32..4,
+        costs in proptest::collection::vec(0.0f64..10.0, 40),
+    ) {
+        let edges: Vec<(usize, usize)> = match mode {
+            // Endpoints up to n + 2: out-of-range and self-loops possible.
+            0 => raw.iter().map(|&(a, b)| (a % (n + 3), b % (n + 3))).collect(),
+            // In range, self-loops and cycles possible.
+            1 => raw.iter().map(|&(a, b)| (a % n, b % n)).collect(),
+            // Acyclic, edges running forward (2) or backward (3) in index order.
+            _ => raw
+                .iter()
+                .map(|&(a, b)| (a % n, b % n))
+                .filter(|&(a, b)| a != b)
+                .map(|(a, b)| if (mode == 2) == (a < b) { (a, b) } else { (b, a) })
+                .collect(),
+        };
+        let p = &costs[..n];
+        let tasks = TaskSet::from_ps(p, &vec![1.0; n]).unwrap();
+        let built = TaskGraph::from_edges(tasks, &edges);
+        let reference = Nested::build(n, &edges);
+        let (g, nested) = match (built, reference) {
+            (Err(e), Err(r)) => {
+                prop_assert_eq!(e, r);
+                return;
+            }
+            (Ok(g), Ok(nested)) => (g, nested),
+            (built, reference) => panic!("build {:?} vs reference {:?}", built.err(), reference.err()),
+        };
+        prop_assert_eq!(g.edge_count(), nested.succs.iter().map(Vec::len).sum::<usize>());
+        for i in 0..n {
+            let succs: Vec<usize> = g.succs(i).iter().map(|&v| v as usize).collect();
+            let preds: Vec<usize> = g.preds(i).iter().map(|&u| u as usize).collect();
+            prop_assert_eq!(&succs, &nested.succs[i], "succs of {}", i);
+            prop_assert_eq!(&preds, &nested.preds[i], "preds of {}", i);
+        }
+        let order = nested.topological_order();
+        prop_assert_eq!(topological_order(&g).ok(), order.clone());
+        if order.is_none() {
+            prop_assert_eq!(DagInstance::new(g, 2), Err(ModelError::CyclicPrecedence));
+            return;
+        }
+        let cp = nested.critical_path(p);
+        prop_assert_eq!(g.critical_path_length().to_bits(), cp.to_bits());
+        let inst = DagInstance::new(g, 2).unwrap();
+        prop_assert_eq!(inst.critical_path_length().to_bits(), cp.to_bits());
+    }
+}
+
+/// FNV-1a over `n`, `m`, every edge of `graph().edges()` in order and
+/// every task's `(p, s)` bits.
+fn instance_digest(inst: &DagInstance) -> u64 {
+    let mut d = 0xcbf2_9ce4_8422_2325u64;
+    let mut word = |w: u64| {
+        for b in w.to_le_bytes() {
+            d ^= u64::from(b);
+            d = d.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    word(inst.n() as u64);
+    word(inst.m() as u64);
+    for (u, v) in inst.graph().edges() {
+        word(((u as u64) << 32) | v as u64);
+    }
+    for t in inst.tasks().as_slice() {
+        word(t.p.to_bits());
+        word(t.s.to_bits());
+    }
+    d
+}
+
+/// The generated instances (edge order and costs) are pinned: these
+/// digests were recorded with the nested-adjacency builder, so the flat
+/// builder reproduces its inputs exactly — and so do the benchmark's.
+#[test]
+fn generated_instances_match_their_pinned_digests() {
+    let pinned: [(u64, [u64; 8]); 2] = [
+        (
+            13,
+            [
+                0xfe2c687d2fb25442,
+                0x8bc9d38e380cfa4a,
+                0x2d1b9b97bb0a1550,
+                0x0fba7c60303c2030,
+                0x0e6e464845919a03,
+                0x593b239e620b89e2,
+                0x585fd6297b08dc4b,
+                0xf932e2191b0ea246,
+            ],
+        ),
+        (
+            29,
+            [
+                0x192c8eb542c36f89,
+                0x9c20cb5157d9161a,
+                0x015b11d9830d2c85,
+                0x0fba7c60303c2030,
+                0x0e6e464845919a03,
+                0x593b239e620b89e2,
+                0x111fddb262e34a32,
+                0x676702576fafc6a7,
+            ],
+        ),
+    ];
+    for (seed, digests) in pinned {
+        for (k, family) in DagFamily::all().into_iter().enumerate() {
+            let distribution = TaskDistribution::all()[k % 4];
+            let inst = dag_workload(family, 400, 8, distribution, &mut seeded_rng(seed));
+            assert_eq!(
+                instance_digest(&inst),
+                digests[k],
+                "{family:?} at seed {seed}"
+            );
+        }
+        let staged = storage_heavy_staged(600, 16, &mut seeded_rng(seed));
+        assert_eq!(
+            instance_digest(&staged),
+            digests[7],
+            "staged at seed {seed}"
+        );
     }
 }
 

@@ -15,7 +15,8 @@
 //!
 //! * **panic-policy** — no `unwrap()`/`expect()`/`panic!`/
 //!   `unreachable!`/`todo!`/`unimplemented!`/slice indexing in
-//!   non-test code of `crates/service` and `crates/core/src/dispatch.rs`;
+//!   non-test code of `crates/service`, `crates/simulator`,
+//!   `crates/core/src/dispatch.rs` and `crates/dag/src/graph.rs`;
 //! * **lock-discipline** — in `crates/service`, every mutex
 //!   acquisition goes through the poison-recovering `lock()` helper
 //!   (or recovers inline), plus a lock-order graph whose cycles are

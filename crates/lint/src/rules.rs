@@ -51,13 +51,16 @@ impl FileCtx<'_> {
 
 /// Paths whose non-test code must not panic: the fault-tolerant service
 /// runtime and the shared dispatch core it relies on (PR 6's "workers
-/// never die" contract), plus the simulator — it is the differential
+/// never die" contract); the simulator — it is the differential
 /// oracle replayed against arbitrary (including deserialized) traces,
-/// and an oracle that aborts mid-comparison reports nothing.
+/// and an oracle that aborts mid-comparison reports nothing; and the
+/// task-graph builder, the one place raw client edges enter, which
+/// must turn a bad edge into a typed error.
 pub fn panic_policy_scope(path: &str) -> bool {
     path.starts_with("crates/service/src/")
         || path.starts_with("crates/simulator/src/")
         || path == "crates/core/src/dispatch.rs"
+        || path == "crates/dag/src/graph.rs"
 }
 
 /// Paths where every mutex acquisition must be poison-recovering.
@@ -503,6 +506,10 @@ mod tests {
         assert!(hits.is_empty());
         let hits = run_rule("crates/core/src/dispatch.rs", src, panic_policy);
         assert_eq!(hits.len(), 1);
+        let hits = run_rule("crates/dag/src/graph.rs", src, panic_policy);
+        assert_eq!(hits.len(), 1);
+        let hits = run_rule("crates/dag/src/csr.rs", src, panic_policy);
+        assert!(hits.is_empty());
     }
 
     #[test]

@@ -60,9 +60,8 @@
 //! * the **instance** is borrowed as a flat [`sws_dag::CsrDag`] — CSR
 //!   adjacency with `u32` indices in both directions plus
 //!   structure-of-arrays `f64` cost vectors — built **once per
-//!   instance** and shared by every run over it (the nested-`Vec`
-//!   [`sws_dag::TaskGraph`] stays the build/mutate API and converts via
-//!   `TaskGraph::csr()`);
+//!   instance** from its edge list and shared by every run over it
+//!   (`DagInstance::shared_csr()`);
 //! * every **per-run buffer** (the ready heaps, the processor-load
 //!   heap, the completion/ready/placement arrays, the per-round scratch
 //!   and the probe frontier) lives in a reusable [`KernelWorkspace`]
@@ -1492,18 +1491,17 @@ impl KernelWorkspace {
 /// [`Unrestricted`] this computes Graham DAG list scheduling; with
 /// [`MemoryCapAdmission`] it computes the paper's RLS∆.
 ///
-/// One-shot convenience wrapper: builds the CSR mirror and a fresh
-/// workspace per call. Throughput callers (sweeps, batches) should
-/// build the [`CsrDag`] once per instance and reuse a
+/// One-shot convenience wrapper: runs over the instance's shared flat
+/// form ([`DagInstance::shared_csr`]) with a fresh workspace per call.
+/// Throughput callers (sweeps, batches) should reuse a
 /// [`KernelWorkspace`] through [`event_driven_schedule_csr`].
 pub fn event_driven_schedule<A: Admission>(
     inst: &DagInstance,
     rank: &PriorityRank,
     admission: &mut A,
 ) -> Result<KernelOutcome, ModelError> {
-    let csr = inst.csr();
     let mut ws = KernelWorkspace::with_capacity(inst.n(), inst.m());
-    event_driven_schedule_csr(&csr, inst.m(), rank, admission, &mut ws)
+    event_driven_schedule_csr(inst.shared_csr(), inst.m(), rank, admission, &mut ws)
 }
 
 /// [`event_driven_schedule`] over the flat CSR instance form with an
@@ -2323,10 +2321,12 @@ mod tests {
 
     #[test]
     fn kernel_with_cap_never_exceeds_it() {
-        let g = fork_join(2, 6).with_costs(|i| sws_model::task::Task {
-            p: 1.0 + (i % 3) as f64,
-            s: 1.0 + (i % 4) as f64,
-        });
+        let g = fork_join(2, 6)
+            .with_costs(|i| sws_model::task::Task {
+                p: 1.0 + (i % 3) as f64,
+                s: 1.0 + (i % 4) as f64,
+            })
+            .unwrap();
         let inst = DagInstance::new(g, 3).unwrap();
         let total_s: f64 = (0..inst.n()).map(|i| inst.tasks().get(i).s).sum();
         let cap = 2.25 * (total_s / 3.0).max(4.0);
@@ -2345,10 +2345,12 @@ mod tests {
     }
 
     fn capped_instance() -> (DagInstance, f64) {
-        let g = fork_join(3, 9).with_costs(|i| sws_model::task::Task {
-            p: 1.0 + (i % 5) as f64,
-            s: 1.0 + (i % 3) as f64,
-        });
+        let g = fork_join(3, 9)
+            .with_costs(|i| sws_model::task::Task {
+                p: 1.0 + (i % 5) as f64,
+                s: 1.0 + (i % 3) as f64,
+            })
+            .unwrap();
         let inst = DagInstance::new(g, 4).unwrap();
         let total_s: f64 = (0..inst.n()).map(|i| inst.tasks().get(i).s).sum();
         let lb = (total_s / 4.0).max(3.0);
@@ -2790,12 +2792,12 @@ mod tests {
     /// A seeded layered DAG with [`TIE_P`]/[`TIE_S`] costs.
     fn tie_layered(seed: u64, n: usize) -> sws_dag::TaskGraph {
         let mut rng = XorShift(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
-        layered_random(n, 6, 0.3, &mut sws_workloads::seeded_rng(seed)).with_costs(|_| {
-            sws_model::task::Task {
+        layered_random(n, 6, 0.3, &mut sws_workloads::seeded_rng(seed))
+            .with_costs(|_| sws_model::task::Task {
                 p: TIE_P[rng.below(5) as usize],
                 s: TIE_S[rng.below(4) as usize],
-            }
-        })
+            })
+            .unwrap()
     }
 
     /// The storage-heavy staged shape of
@@ -2811,17 +2813,20 @@ mod tests {
         );
         let mut rng = XorShift(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
         let mut pick = |xs: &[f64]| xs[rng.below(xs.len() as u64) as usize];
-        staged.graph().with_costs(|i| {
-            let t = staged.tasks().get(i);
-            let (p, s) = if t.p >= 50.0 {
-                (pick(&[3.0, 4.0, 5.0]), pick(&[-0.0, 0.0, 1.0]))
-            } else if t.s >= 10.0 {
-                (pick(&[-0.0, 0.0, 1.0]), pick(&[4.0, 6.0]))
-            } else {
-                (pick(&[1.0, 2.0]), pick(&[-0.0, 1.0]))
-            };
-            sws_model::task::Task { p, s }
-        })
+        staged
+            .graph()
+            .with_costs(|i| {
+                let t = staged.tasks().get(i);
+                let (p, s) = if t.p >= 50.0 {
+                    (pick(&[3.0, 4.0, 5.0]), pick(&[-0.0, 0.0, 1.0]))
+                } else if t.s >= 10.0 {
+                    (pick(&[-0.0, 0.0, 1.0]), pick(&[4.0, 6.0]))
+                } else {
+                    (pick(&[1.0, 2.0]), pick(&[-0.0, 1.0]))
+                };
+                sws_model::task::Task { p, s }
+            })
+            .unwrap()
     }
 
     /// `factor` times the Graham memory bound `max(Σs/m, max s)`.

@@ -69,7 +69,7 @@ pub fn dag_list_schedule(inst: &DagInstance, priority: &PriorityRank) -> TimedSc
             let pred_ready = graph
                 .preds(i)
                 .iter()
-                .map(|&p| completion[p])
+                .map(|&p| completion[p as usize])
                 .fold(0.0f64, f64::max);
             let ready = pred_ready.max(load[q]);
             let candidate = (ready, priority[i], i);
@@ -91,7 +91,7 @@ pub fn dag_list_schedule(inst: &DagInstance, priority: &PriorityRank) -> TimedSc
         load[q] = completion[i];
         scheduled[i] = true;
         for &v in graph.succs(i) {
-            remaining_preds[v] -= 1;
+            remaining_preds[v as usize] -= 1;
         }
     }
 

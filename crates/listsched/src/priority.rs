@@ -219,7 +219,7 @@ mod tests {
         .unwrap();
         let g = TaskGraph::new(tasks);
         let full = g.csr();
-        let saturated = sws_dag::CsrDag::from_graph_with_key_limit(&g, 1);
+        let saturated = full.with_key_limit(1);
         assert!(saturated.cost_keys().is_none());
         for csr in [&full, &saturated] {
             assert_eq!(spt_priority_csr(csr), spt_priority(&g));

@@ -151,7 +151,7 @@ proptest! {
         let mut rng = sws_workloads::rng::seeded_rng(seed);
         let n = p.len();
         let graph = sws_dag::generators::layered::layered_random(n, (n / 3).max(1), 0.3, &mut rng)
-            .with_costs(|i| sws_model::task::Task { p: p[i], s: 1.0 });
+            .with_costs(|i| sws_model::task::Task { p: p[i], s: 1.0 }).unwrap();
         let inst = DagInstance::new(graph, m).unwrap();
         for priority in [index_priority(n), hlf_priority(inst.graph())] {
             let sched = dag_list_schedule(&inst, &priority);

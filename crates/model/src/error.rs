@@ -37,6 +37,11 @@ pub enum ModelError {
     },
     /// The precedence relation contains a cycle.
     CyclicPrecedence,
+    /// A precedence edge `from → to` names a task index `>= n`.
+    EdgeOutOfRange { from: usize, to: usize, n: usize },
+    /// A task graph has more tasks or edges than its `u32`-indexed flat
+    /// (CSR) form can address.
+    GraphTooLarge { n: usize, edges: usize },
     /// A parameter is outside its admissible domain (e.g. `∆ ≤ 2` for RLS).
     InvalidParameter {
         name: &'static str,
@@ -120,6 +125,12 @@ impl fmt::Display for ModelError {
                 )
             }
             ModelError::CyclicPrecedence => write!(f, "precedence relation contains a cycle"),
+            ModelError::EdgeOutOfRange { from, to, n } => {
+                write!(f, "edge {from} -> {to} names a task outside 0..{n}")
+            }
+            ModelError::GraphTooLarge { n, edges } => {
+                write!(f, "{n} tasks and {edges} edges exceed u32 indexing")
+            }
             ModelError::InvalidParameter {
                 name,
                 value,

@@ -6,13 +6,11 @@
 //! the *guaranteed* ratios proven in the paper. This module bundles that
 //! bookkeeping so benches, examples and tests report ratios identically.
 
-use serde::{Deserialize, Serialize};
-
 use crate::numeric::approx_le;
 use crate::objectives::{ObjectivePoint, TriObjectivePoint};
 
 /// How the reference point was obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reference {
     /// Exact optimum per objective (each objective optimized separately).
     Optimum,
@@ -22,7 +20,7 @@ pub enum Reference {
 }
 
 /// Achieved-versus-guaranteed report for the bi-objective problem.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RatioReport {
     /// The point achieved by the algorithm.
     pub achieved: ObjectivePoint,
@@ -92,7 +90,7 @@ impl std::fmt::Display for RatioReport {
 
 /// Achieved-versus-guaranteed report for the tri-objective extension
 /// (Section 5.2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TriRatioReport {
     /// The point achieved by the algorithm.
     pub achieved: TriObjectivePoint,

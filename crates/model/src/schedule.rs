@@ -5,15 +5,13 @@
 //! so start times are irrelevant. With precedence constraints the starting
 //! time `σ(i)` matters and we use [`TimedSchedule`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ModelError;
 use crate::instance::Instance;
 use crate::numeric::kahan_sum;
 use crate::task::TaskSet;
 
 /// A pure assignment of tasks to processors, `π : T → Q`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
     proc_of: Vec<usize>,
     m: usize,
@@ -149,7 +147,7 @@ impl Assignment {
 }
 
 /// A timed schedule: processor assignment `π` plus starting times `σ`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimedSchedule {
     proc_of: Vec<usize>,
     start: Vec<f64>,

@@ -29,6 +29,7 @@ use crate::instance::Instance;
 use crate::objectives::ObjectivePoint;
 use crate::schedule::TimedSchedule;
 use crate::task::TaskSet;
+use crate::validate::CsrPreds;
 
 /// Which objectives a request asks the solver to optimize.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,8 +118,9 @@ impl Guarantee {
 ///
 /// `sws_dag::DagInstance` implements this; [`PrecedenceInstance::as_any`]
 /// lets DAG-aware backends downcast back to the concrete type and reuse
-/// its CSR mirror instead of rebuilding the graph from the predecessor
-/// lists (foreign implementations fall back to the rebuild path).
+/// its shared flat form instead of rebuilding the graph from the
+/// predecessor lists (foreign implementations fall back to the rebuild
+/// path).
 ///
 /// `Sync` is a supertrait so that requests over borrowed instances can
 /// be fanned out across worker threads (the batch serving path chunks
@@ -129,8 +131,8 @@ pub trait PrecedenceInstance: Sync {
     fn tasks(&self) -> &TaskSet;
     /// Number of processors.
     fn m(&self) -> usize;
-    /// Predecessor lists, indexed by task.
-    fn preds(&self) -> &[Vec<usize>];
+    /// Predecessor lists, indexed by task, as a borrowed CSR view.
+    fn preds(&self) -> CsrPreds<'_>;
     /// Escape hatch for concrete-type recovery (see trait docs).
     fn as_any(&self) -> &dyn Any;
 }

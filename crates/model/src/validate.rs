@@ -28,27 +28,16 @@ pub trait PredecessorLists {
     fn preds_of(&self, i: usize) -> impl Iterator<Item = usize> + '_;
 }
 
-impl PredecessorLists for &[Vec<usize>] {
+/// Nested lists: a slice, `Vec` or array of per-task predecessor lists.
+impl<L: AsRef<[Vec<usize>]> + ?Sized> PredecessorLists for &L {
     #[inline]
     fn len(&self) -> usize {
-        (**self).len()
+        (*self).as_ref().len()
     }
 
     #[inline]
     fn preds_of(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        self[i].iter().copied()
-    }
-}
-
-impl PredecessorLists for &Vec<Vec<usize>> {
-    #[inline]
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-
-    #[inline]
-    fn preds_of(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        self[i].iter().copied()
+        (*self).as_ref()[i].iter().copied()
     }
 }
 
@@ -76,6 +65,12 @@ impl<'a> CsrPreds<'a> {
             "CSR offsets must close over the edge array"
         );
         CsrPreds { offsets, edges }
+    }
+
+    /// Total number of predecessor entries (the graph's edge count).
+    #[inline]
+    pub fn edge_count(&self) -> usize {
+        self.edges.len()
     }
 }
 
@@ -143,22 +138,21 @@ pub fn check_memory(tasks: &TaskSet, asg: &Assignment, capacity: f64) -> Result<
 /// * if `memory_capacity` is given, no processor's cumulative memory
 ///   exceeds it.
 ///
-/// `preds[i]` lists the predecessors of task `i`; pass empty lists (or an
-/// empty slice) for independent tasks.
-pub fn validate_timed(
+/// `preds` lists the predecessors of each task, as nested lists or a
+/// borrowed CSR view (`sws_dag::CsrDag::pred_lists()`); pass empty
+/// lists (or an empty slice) for independent tasks.
+pub fn validate_timed<P: PredecessorLists>(
     tasks: &TaskSet,
     m: usize,
     sched: &TimedSchedule,
-    preds: &[Vec<usize>],
+    preds: P,
     memory_capacity: Option<f64>,
 ) -> Result<(), ModelError> {
     validate_timed_preds(tasks, m, sched, preds, memory_capacity)
 }
 
-/// [`validate_timed`] over any [`PredecessorLists`] shape — in
-/// particular the CSR view (`sws_dag::CsrDag::pred_lists()`), which the
-/// nested-slice signature would force to materialize `Vec<Vec<usize>>`
-/// lists first.
+/// [`validate_timed`] under the name the CSR callers use (both accept
+/// any [`PredecessorLists`] shape).
 pub fn validate_timed_preds<P: PredecessorLists>(
     tasks: &TaskSet,
     m: usize,

@@ -3,6 +3,7 @@
 use sws_model::error::ModelError;
 use sws_model::schedule::TimedSchedule;
 use sws_model::task::TaskSet;
+use sws_model::validate::PredecessorLists;
 
 use crate::event::{Event, EventKind};
 use crate::memory::MemoryProfile;
@@ -51,12 +52,12 @@ impl SimulationEngine {
     ///
     /// Returns the full [`SimulationReport`] on success and the first
     /// violation as a [`ModelError`] otherwise.
-    pub fn replay(
+    pub fn replay<P: PredecessorLists>(
         &self,
         tasks: &TaskSet,
         m: usize,
         schedule: &TimedSchedule,
-        preds: &[Vec<usize>],
+        preds: P,
         memory_capacity: Option<f64>,
     ) -> Result<SimulationReport, ModelError> {
         if schedule.n() != tasks.len() {
@@ -131,7 +132,8 @@ impl SimulationEngine {
                         });
                     }
                     // All predecessors must have finished.
-                    for &p in preds.get(ev.task).map(Vec::as_slice).unwrap_or_default() {
+                    // `ev.task < tasks.len() == preds.len()` (prologue).
+                    for p in preds.preds_of(ev.task) {
                         let done = finished.get(p).copied().unwrap_or(false);
                         let ct = finish_time.get(p).copied().unwrap_or(f64::INFINITY);
                         if !done || ct > ev.time + slack(ev.time) {

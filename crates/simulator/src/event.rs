@@ -2,11 +2,10 @@
 
 use std::cmp::Ordering;
 
-use serde::{Deserialize, Serialize};
 use sws_model::numeric::order_all;
 
 /// What happens at an event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A task starts executing on a processor.
     Start,
@@ -15,7 +14,7 @@ pub enum EventKind {
 }
 
 /// One simulation event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
     /// Simulation time of the event. Events built by the replay engine
     /// inherit finiteness from `TimedSchedule::new`'s validation (and

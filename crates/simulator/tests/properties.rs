@@ -134,10 +134,12 @@ proptest! {
 #[test]
 fn dag_replay_checks_precedence_and_reports_concurrency() {
     use sws_dag::generators::forkjoin::fork_join;
-    let graph = fork_join(2, 6).with_costs(|i| sws_model::task::Task {
-        p: 1.0 + (i % 3) as f64,
-        s: 1.0,
-    });
+    let graph = fork_join(2, 6)
+        .with_costs(|i| sws_model::task::Task {
+            p: 1.0 + (i % 3) as f64,
+            s: 1.0,
+        })
+        .unwrap();
     let inst = DagInstance::new(graph, 3).unwrap();
     let sched = dag_list_schedule(&inst, &hlf_priority(inst.graph()));
     let report = simulate_dag_schedule(&inst, &sched, None).unwrap();

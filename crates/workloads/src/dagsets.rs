@@ -96,21 +96,26 @@ pub fn dag_workload(
     rng: &mut WorkloadRng,
 ) -> DagInstance {
     let target_n = target_n.max(4);
+    let costed = |g: TaskGraph, rng: &mut WorkloadRng| {
+        g.with_costs(|_| draw_task(distribution, rng))
+            .expect("drawn costs are finite and non-negative")
+    };
     let graph = match family {
         DagFamily::LayeredRandom => {
             let layers = (target_n as f64).sqrt().round().max(2.0) as usize;
-            let g = layered_random(target_n, layers.min(target_n), 0.2, rng);
-            g.with_costs(|_| draw_task(distribution, rng))
+            costed(
+                layered_random(target_n, layers.min(target_n), 0.2, rng),
+                rng,
+            )
         }
-        DagFamily::Erdos => {
-            let g = layered_erdos(target_n, (4.0 / target_n as f64).min(0.5), rng);
-            g.with_costs(|_| draw_task(distribution, rng))
-        }
+        DagFamily::Erdos => costed(
+            layered_erdos(target_n, (4.0 / target_n as f64).min(0.5), rng),
+            rng,
+        ),
         DagFamily::ForkJoin => {
             let width = (target_n as f64).sqrt().round().max(2.0) as usize;
             let stages = (target_n / (width + 1)).max(1);
-            let g = fork_join(stages, width);
-            g.with_costs(|_| draw_task(distribution, rng))
+            costed(fork_join(stages, width), rng)
         }
         DagFamily::GaussianElimination => {
             // n(k) = (k-1) + k(k-1)/2 ~ k^2/2 -> k ~ sqrt(2 n).
@@ -132,8 +137,7 @@ pub fn dag_workload(
         }
         DagFamily::Diamond => {
             let side = (target_n as f64).sqrt().round().max(2.0) as usize;
-            let g = diamond_grid(side, side);
-            g.with_costs(|_| draw_task(distribution, rng))
+            costed(diamond_grid(side, side), rng)
         }
     };
     DagInstance::new(graph, m).expect("generators produce acyclic graphs and m > 0")

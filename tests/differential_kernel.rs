@@ -137,7 +137,7 @@ fn saturated_and_quantized_tables_interleave_through_one_workspace() {
             stream += 1;
             let inst = workload(family, 48, 4, stream);
             let full = inst.csr();
-            let saturated = sws_dag::CsrDag::from_graph_with_key_limit(inst.graph(), 1);
+            let saturated = full.with_key_limit(1);
             assert!(full.cost_keys().is_some(), "real costs must quantize");
             assert!(saturated.cost_keys().is_none(), "limit 1 must saturate");
 

@@ -42,17 +42,19 @@ fn arb_dag(max_n: usize, max_m: usize) -> impl Strategy<Value = DagInstance> {
         )
             .prop_map(|(p, s, edge_mask, m)| {
                 let tasks = TaskSet::from_ps(&p, &s).expect("valid draws");
-                let mut graph = TaskGraph::new(tasks);
+                let mut edges = Vec::new();
                 let mut idx = 0usize;
                 for i in 0..p.len() {
                     for j in (i + 1)..p.len() {
                         // Keep the graph sparse so schedules stay interesting.
                         if edge_mask[idx] && (i + j) % 3 == 0 {
-                            graph.add_edge(i, j).expect("forward edges are acyclic");
+                            edges.push((i, j));
                         }
                         idx += 1;
                     }
                 }
+                let graph =
+                    TaskGraph::from_edges(tasks, &edges).expect("forward edges are acyclic");
                 DagInstance::new(graph, m).expect("m > 0")
             })
     })
